@@ -354,10 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--node-limit", type=int, default=None,
                         help="abort construction above this many live nodes")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sampling")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress informational output")
 
     parser = argparse.ArgumentParser(
         prog="bddinfo",
@@ -396,6 +392,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--max-n", type=int, default=12,
                    help="refuse circuits with more inputs than this")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the sampled variable subsets")
+    p.add_argument("--quiet", action="store_true",
+                   help="print nothing when every check passes")
     p.set_defaults(func=_cmd_oracle_check)
     return parser
 

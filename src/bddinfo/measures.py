@@ -1,15 +1,22 @@
 """Probabilities and Shannon information measures evaluated on BDDs.
 
-Everything is driven by one weighted recursion over the graph:
+Every measure is a composition of two weighted passes over the
+level-sorted graph.  The bottom-up pass evaluates
 
     p(node) = p(x=0) * p(low child) + p(x=1) * p(high child)
 
 with p(terminal one) = 1 and p(terminal zero) = 0.  Under the default
-uniform weights this yields the output probability; forcing a single
+uniform weights this yields the output probability; forcing a
 variable's pair to (1, 0) or (0, 1) yields conditional probabilities.
-A matching top-down pass assigns every node the probability mass of the
+The top-down pass assigns every node the probability mass of the
 root-to-node paths, and the pair of passes gives every per-variable
 joint and conditional probability of the function in one sweep.
+H(f|S) branches on the variables of S at the top of the order with the
+top-down pass and runs one forced bottom-up pass per assignment to the
+k others, 2^k passes in all.
+
+Both passes are loops, not recursions, and measures build no nodes:
+they work under any node_limit and leave len(manager) unchanged.
 
 Entropies are bits (base-2 logarithms), with 0 * log 0 taken as 0.
 
@@ -19,7 +26,9 @@ variable's weight pair to sum to 1; that is a hard precondition.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -131,23 +140,37 @@ def _check_weights(manager: BddManager, w: VarProbabilities | None) -> VarProbab
     return w
 
 
-def _sat_map(manager: BddManager, root: int, w: VarProbabilities) -> dict[int, float]:
-    """Bottom-up node probabilities under ``w`` for the whole subgraph."""
+def _levelled(manager: BddManager, root: int) -> list[int]:
+    """Internal nodes reachable from the root, top level first, ties by handle."""
+    level, nodes = manager._var_level, manager._node
+    return sorted(manager._reachable((root,)),
+                  key=lambda u: (level[nodes[u][0]], u))
+
+
+def _bottom_up(manager: BddManager, order: list[int],
+               w: VarProbabilities) -> dict[int, float]:
+    """Node probabilities over the level-sorted, child-closed ``order``."""
+    nodes, pairs = manager._node, w._pairs
     sat = {ZERO: 0.0, ONE: 1.0}
-    nodes = manager._node
-
-    def rec(u: int) -> float:
-        found = sat.get(u)
-        if found is not None:
-            return found
+    for u in reversed(order):
         var, lo, hi = nodes[u]
-        p0, p1 = w.pair(var)
-        r = p0 * rec(lo) + p1 * rec(hi)
-        sat[u] = r
-        return r
-
-    rec(root)
+        p0, p1 = pairs[var]
+        sat[u] = p0 * sat[lo] + p1 * sat[hi]
     return sat
+
+
+def _top_down(manager: BddManager, root: int, order: list[int],
+              w: VarProbabilities) -> dict[int, float]:
+    """Path masses from the root, pushed down through the level-sorted ``order``."""
+    nodes, pairs = manager._node, w._pairs
+    reach = {root: 1.0}
+    for u in order:
+        var, lo, hi = nodes[u]
+        mass = reach[u]
+        p0, p1 = pairs[var]
+        reach[lo] = reach.get(lo, 0.0) + mass * p0
+        reach[hi] = reach.get(hi, 0.0) + mass * p1
+    return reach
 
 
 def weighted_sat_probability(manager: BddManager, root: int,
@@ -160,7 +183,7 @@ def weighted_sat_probability(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager, w)
-    return _sat_map(manager, root, w)[root]
+    return _bottom_up(manager, _levelled(manager, root), w)[root]
 
 
 def reach_probabilities(manager: BddManager, root: int,
@@ -174,19 +197,7 @@ def reach_probabilities(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager, w)
-    nodes = manager._node
-    order = sorted(manager._reachable([root]),
-                   key=lambda u: (manager._ref_level(u), u))
-    reach = {root: 1.0}
-    for u in order:
-        var, lo, hi = nodes[u]
-        mass = reach.get(u)
-        if mass is None:
-            continue
-        p0, p1 = w.pair(var)
-        reach[lo] = reach.get(lo, 0.0) + mass * p0
-        reach[hi] = reach.get(hi, 0.0) + mass * p1
-    return reach
+    return _top_down(manager, root, _levelled(manager, root), w)
 
 
 def all_joint_probabilities(manager: BddManager, root: int,
@@ -201,18 +212,17 @@ def all_joint_probabilities(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager, w)
-    sat = _sat_map(manager, root, w)
-    reach = reach_probabilities(manager, root, w)
+    order = _levelled(manager, root)
+    sat = _bottom_up(manager, order, w)
+    reach = _top_down(manager, root, order, w)
     nodes = manager._node
     p_one = sat[root]
     through: dict[int, float] = {}
     lo_part: dict[int, float] = {}
     hi_part: dict[int, float] = {}
-    for u, mass in reach.items():
-        t = nodes.get(u)
-        if t is None:
-            continue
-        var, lo, hi = t
+    for u in order:
+        var, lo, hi = nodes[u]
+        mass = reach[u]
         through[var] = through.get(var, 0.0) + mass * sat[u]
         lo_part[var] = lo_part.get(var, 0.0) + mass * sat[lo]
         hi_part[var] = hi_part.get(var, 0.0) + mass * sat[hi]
@@ -242,16 +252,45 @@ def entropy(manager: BddManager, root: int,
     return _binary_entropy(weighted_sat_probability(manager, root, w))
 
 
+def _conditional_entropy(manager: BddManager, root: int, given: set[int],
+                         w: VarProbabilities) -> float:
+    """H(f|given) in bits, the one conditioning routine.
+
+    Given variables on the top levels are branched on by pushing path
+    mass down through those levels.  Every assignment to the others is
+    one bottom-up pass, with their weight pairs forced, over the nodes
+    the mass lands on and everything below them.
+    """
+    nodes = manager._node
+    level, level_var = manager._var_level, manager._level_var
+    depth = 0
+    while depth < manager.n and level_var[depth] in given:
+        depth += 1
+    rest = sorted(given.difference(level_var[:depth]))
+    order = _levelled(manager, root)
+    split = bisect.bisect_left(order, depth, key=lambda u: level[nodes[u][0]])
+    reach = _top_down(manager, root, order[:split], w)
+    below = order[split:]
+    frontier = [(u, reach[u]) for u in below if u in reach]
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=len(rest)):
+        forced = w
+        weight = 1.0
+        for var, value in zip(rest, bits):
+            forced = forced.forced(var, value)
+            weight *= w.pair(var)[value]
+        sat = _bottom_up(manager, below, forced)
+        for u, mass in frontier:
+            total += mass * weight * _binary_entropy(sat[u])
+    return total
+
+
 def conditional_entropy_var(manager: BddManager, root: int, var: int,
                             w: VarProbabilities | None = None) -> float:
-    """H(f|x) in bits: the weight-averaged entropies of the two cofactors."""
+    """H(f|x) in bits: the weight-averaged entropies of f with x fixed."""
     manager._check(root)
     manager._check_var(var)
-    w = _check_weights(manager, w)
-    p0, p1 = w.pair(var)
-    h0 = entropy(manager, manager.cofactor(root, var, 0), w)
-    h1 = entropy(manager, manager.cofactor(root, var, 1), w)
-    return p0 * h0 + p1 * h1
+    return _conditional_entropy(manager, root, {var}, _check_weights(manager, w))
 
 
 def conditional_entropy_set(manager: BddManager, root: int,
@@ -260,25 +299,10 @@ def conditional_entropy_set(manager: BddManager, root: int,
     """H(f|S) in bits: expected entropy over all assignments to the set."""
     manager._check(root)
     w = _check_weights(manager, w)
-    vs = sorted(set(variables))
-    for var in vs:
+    given = set(variables)
+    for var in given:
         manager._check_var(var)
-
-    def rec(u: int, i: int) -> float:
-        if u == ZERO or u == ONE:
-            return 0.0
-        if i == len(vs):
-            return _binary_entropy(_sat_map(manager, u, w)[u])
-        var = vs[i]
-        p0, p1 = w.pair(var)
-        acc = 0.0
-        if p0 > 0.0:
-            acc += p0 * rec(manager.cofactor(u, var, 0), i + 1)
-        if p1 > 0.0:
-            acc += p1 * rec(manager.cofactor(u, var, 1), i + 1)
-        return acc
-
-    return rec(root, 0)
+    return _conditional_entropy(manager, root, given, w)
 
 
 def mutual_information(manager: BddManager, root: int, var: int,
@@ -294,7 +318,8 @@ def measure_report(manager: BddManager, root: int,
     """Full entropy report for one output."""
     manager._check(root)
     w = _check_weights(manager, w)
-    h = entropy(manager, root, w)
+    sat = weighted_sat_probability(manager, root, w)
+    h = _binary_entropy(sat)
     cond = {}
     mutual = {}
     for var in range(manager.n):
@@ -305,6 +330,5 @@ def measure_report(manager: BddManager, root: int,
     for subset in subsets:
         vs = tuple(sorted(set(subset)))
         set_entropy[vs] = conditional_entropy_set(manager, root, vs, w)
-    return MeasureReport(sat=weighted_sat_probability(manager, root, w),
-                         entropy=h, cond_entropy=cond, mutual_info=mutual,
-                         set_entropy=set_entropy)
+    return MeasureReport(sat=sat, entropy=h, cond_entropy=cond,
+                         mutual_info=mutual, set_entropy=set_entropy)

@@ -14,9 +14,10 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+# perfbench/tracer.py wraps copy_function and conditional_entropy_var here.
 from .manager import XOR, ZERO, BddManager, BddError, copy_function
-from .measures import VarProbabilities, conditional_entropy_var, _check_weights
-from . import oracle
+from .measures import VarProbabilities, _check_weights, conditional_entropy_var
+from . import measures, oracle
 
 _TIE_TOL = 1e-12
 _EXHAUSTIVE_CHECK_VARS = 10
@@ -83,38 +84,6 @@ def _verify_unchanged(manager: BddManager, roots: list[int], snapshot) -> None:
                 raise BddError("reordering changed a root's function")
 
 
-def _prefix_frontier(manager: BddManager, root: int, depth: int,
-                     w: VarProbabilities) -> dict[int, float]:
-    """Mass of the subfunctions reached after branching on the top levels."""
-    masses = {root: 1.0}
-    for level in range(depth):
-        var = manager.var_at_level(level)
-        p0, p1 = w.pair(var)
-        nxt: dict[int, float] = {}
-        for u, mass in masses.items():
-            t = manager._node.get(u)
-            if t is None or t[0] != var:
-                nxt[u] = nxt.get(u, 0.0) + mass
-                continue
-            nxt[t[1]] = nxt.get(t[1], 0.0) + mass * p0
-            nxt[t[2]] = nxt.get(t[2], 0.0) + mass * p1
-        masses = nxt
-    return masses
-
-
-def _level_score(manager: BddManager, roots: list[int], level: int, var: int,
-                 w: VarProbabilities) -> float:
-    """Conditional entropy of the outputs given the placed prefix plus var,
-    summed over roots; at level 0 this is plain H(f|x)."""
-    score = 0.0
-    for root in roots:
-        for u, mass in sorted(_prefix_frontier(manager, root, level, w).items()):
-            if u == 0 or u == 1 or mass == 0.0:
-                continue
-            score += mass * conditional_entropy_var(manager, u, var, w)
-    return score
-
-
 def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
                  weights: VarProbabilities | None = None) -> ReorderTrace:
     """Greedy entropy-directed reordering.
@@ -135,9 +104,11 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
                          final_size=0)
     n = manager.n
     for level in range(n):
-        candidates = sorted(manager.var_at_level(l) for l in range(level, n))
-        scored = [(var, _level_score(manager, roots, level, var, w))
-                  for var in candidates]
+        placed = list(manager.order[:level])
+        scored = [(var, sum(measures.conditional_entropy_set(
+                                manager, root, placed + [var], w)
+                            for root in roots))
+                  for var in sorted(manager.order[level:])]
         best = min(score for _, score in scored)
         group = [var for var, score in scored if score <= best + _TIE_TOL]
         chosen = min(group)

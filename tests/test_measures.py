@@ -11,7 +11,9 @@ from bddinfo import (
     weighted_sat_probability,
 )
 
-from conftest import EXAMPLE1_VECTOR, H_F, H_F_X1, H_F_X1X2, H_F_X2
+from bddinfo.cli import load_circuit
+
+from conftest import DATA, EXAMPLE1_VECTOR, H_F, H_F_X1, H_F_X1X2, H_F_X2
 
 TOL = 1e-9
 
@@ -310,3 +312,27 @@ def test_reach_matches_path_enumeration(n, data):
         assert reach[u] == pytest.approx(mass, abs=TOL)
     assert reach.get(ONE, 0.0) == \
         pytest.approx(weighted_sat_probability(m, root, w), abs=TOL)
+
+
+def test_deep_parity_chain():
+    """2,000 levels: every pass is iterative, so depth is no limit."""
+    n = 2000
+    m = BddManager(n)
+    even, odd = ONE, ZERO
+    for var in reversed(range(n)):
+        even, odd = m.mk_node(var, even, odd), m.mk_node(var, odd, even)
+    assert entropy(m, odd) == 1.0
+    assert conditional_entropy_var(m, odd, n // 2) == 1.0
+    assert conditional_entropy_set(m, odd, (0, 1, n // 2, n - 2)) == 1.0
+    assert all_joint_probabilities(m, odd).sat == 0.5
+
+
+def test_measures_build_no_nodes():
+    """Measures only read the graph: they run at a full node limit and
+    leave the node count unchanged."""
+    circuit = load_circuit(str(DATA / "c17.blif"))
+    m = circuit.manager
+    m.node_limit = len(m)
+    for _, root in circuit.outputs:
+        measure_report(m, root, subsets=[(0, 2), (1, 3, 4)])
+    assert len(m) == m.node_limit

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    BddManager, TruthTable, best_order_exhaustive, conditional_entropy_var,
-    enumerate_bdd, info_reorder, sift, window_permute,
+    BddManager, TruthTable, VarProbabilities, best_order_exhaustive,
+    conditional_entropy_var, enumerate_bdd, exact_measures, info_reorder,
+    sift, window_permute,
 )
 
 from conftest import EXAMPLE1_VECTOR, random_function
@@ -71,22 +72,24 @@ def test_trace_shape(example1):
 
 
 def test_level_scores_equal_prefix_set_conditionals(rng):
-    """The frontier-weighted score must equal conditioning on the whole
-    placed prefix plus the candidate, computed by direct cofactoring."""
-    from bddinfo import conditional_entropy_set
-    from bddinfo.measures import VarProbabilities
-    from bddinfo.reorder import _level_score
-    for _ in range(15):
+    """Each level's score is H(f | placed prefix + candidate): checked
+    against exact truth-table counting on a fresh copy of the function."""
+    for trial in range(15):
         n = rng.randint(2, 5)
-        manager, root = build(random_function(rng, n))
-        w = VarProbabilities.uniform(n)
-        for level in range(n):
-            placed = [manager.var_at_level(l) for l in range(level)]
-            for candidate in (manager.var_at_level(l) for l in range(level, n)):
-                direct = conditional_entropy_set(
-                    manager, root, placed + [candidate], w)
-                frontier = _level_score(manager, [root], level, candidate, w)
-                assert frontier == pytest.approx(direct, abs=1e-9)
+        vector = random_function(rng, n)
+        w = None if trial % 2 else VarProbabilities(
+            [(p, 1.0 - p) for p in (rng.choice((0.25, 0.5, 0.75))
+                                    for _ in range(n))])
+        manager, _ = build(vector)
+        trace = info_reorder(manager, weights=w)
+        table = TruthTable.from_string(vector)
+        for step in trace.steps:
+            assert step.chosen == trace.final_order[step.level]
+            placed = trace.final_order[:step.level]
+            subsets = tuple(tuple(sorted(placed + [var])) for var, _ in step.scores)
+            exact = exact_measures(table, w, subsets=subsets).set_entropy
+            for subset, (_, score) in zip(subsets, step.scores):
+                assert score == pytest.approx(exact[subset], abs=1e-9)
 
 
 def test_level0_choice_is_conditional_entropy_argmin(rng):
