@@ -1,16 +1,19 @@
 """Reduced ordered BDD manager.
 
-Nodes live in a unique table keyed by (variable, low child, high child),
-so structurally equal functions always share one handle.  Handles are
-plain integers: 0 and 1 are the terminals, everything else is an
-internal node owned by exactly one manager.  The variable order is a
-permutation between levels and variable ids; adjacent levels can be
-swapped in place, which is the substrate for all reordering algorithms.
+Nodes live in one unique table per variable, keyed by (variable, low
+child, high child), so structurally equal functions always share one
+handle.  Handles are plain integers: 0 and 1 are the terminals,
+everything else is an internal node owned by exactly one manager.  Each
+handle has a reference count (parent nodes plus root registrations).
+The variable order is a permutation between levels and variable ids;
+adjacent levels can be swapped in place, touching only the two tables
+involved, which is the substrate for all reordering algorithms.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Iterable, Sequence
 
 ZERO = 0
@@ -26,6 +29,9 @@ _OPS = (AND, OR, XOR)
 # is detected instead of silently aliasing a node.
 _manager_ids = itertools.count()
 _ID_SPAN = 1 << 40
+# A handle's slot in its manager's reference-count array; the terminals
+# 0 and 1 map to slots 0 and 1 in every manager.
+_SLOT = _ID_SPAN - 1
 
 
 class BddError(Exception):
@@ -78,10 +84,14 @@ class BddManager:
         self._var_level = [0] * n                  # variable -> level
         for level, var in enumerate(order):
             self._var_level[var] = level
-        base = next(_manager_ids) * _ID_SPAN
-        self._next = base + 2                      # 0/1 reserved for terminals
+        self._base = next(_manager_ids) * _ID_SPAN
+        # Reference counts by slot (handle & _SLOT), one per handle ever
+        # made; the next handle is base + len.  Slots 0/1 are the terminals.
+        self._refs = array("I", (0, 0))
         self._node: dict[int, tuple[int, int, int]] = {}   # id -> (var, lo, hi)
-        self._unique: dict[tuple[int, int, int], int] = {}
+        # var -> {(var, lo, hi): id}; the keys are the tuples in _node.
+        self._unique: list[dict[tuple[int, int, int], int]] = [
+            {} for _ in range(n)]
         self._cache: dict[tuple, int] = {}         # apply/negate/cofactor memo
         self._roots: list[int] = []
         self.node_limit = node_limit
@@ -145,15 +155,23 @@ class BddManager:
                 f"variable {var} at level {level} cannot test a child at or "
                 f"above that level")
         key = (var, lo, hi)
-        found = self._unique.get(key)
+        found = self._unique[var].get(key)
         if found is not None:
             return found
         if self.node_limit is not None and len(self._node) >= self.node_limit:
             raise NodeLimitError(f"node limit {self.node_limit} reached")
-        ref = self._next
-        self._next += 1
+        return self._add(key)
+
+    def _add(self, key: tuple[int, int, int]) -> int:
+        """Store a node the caller found reduced, ordered and not yet
+        interned, under a fresh handle."""
+        refs = self._refs
+        ref = self._base + len(refs)
+        refs.append(0)
+        refs[key[1] & _SLOT] += 1
+        refs[key[2] & _SLOT] += 1
         self._node[ref] = key
-        self._unique[key] = ref
+        self._unique[key[0]][key] = ref
         return ref
 
     def literal(self, var: int, phase: int = 1) -> int:
@@ -313,6 +331,7 @@ class BddManager:
         """Mark a function as an output kept alive across swaps and sweeps."""
         self._check(ref)
         self._roots.append(ref)
+        self._refs[ref & _SLOT] += 1
         return ref
 
     @property
@@ -353,10 +372,12 @@ class BddManager:
         """
         keep = self._reachable(list(self._roots) + list(extra_roots))
         dead = [u for u in self._node if u not in keep]
+        refs = self._refs
         for u in dead:
             key = self._node.pop(u)
-            if self._unique.get(key) == u:
-                del self._unique[key]
+            del self._unique[key[0]][key]
+            refs[key[1] & _SLOT] -= 1
+            refs[key[2] & _SLOT] -= 1
         if dead:
             self._cache.clear()
         return len(dead)
@@ -366,45 +387,70 @@ class BddManager:
     def swap_adjacent_levels(self, level: int) -> None:
         """Exchange the variables at ``level`` and ``level + 1`` in place.
 
-        Every registered root keeps its handle and its function; only
-        nodes at the two affected levels are rewritten or created.
+        Every node keeps its handle and its function; only nodes at the
+        two affected levels are rewritten or created, and nodes at the
+        lower level that lose their last reference are retired.  Raises
+        NodeLimitError, before changing anything, when the worst case
+        (two new nodes per node at ``level``) would pass ``node_limit``.
         Operation caches are invalidated.
         """
         if not 0 <= level < self.n - 1:
             raise UsageError(f"level {level} out of range for swapping")
         x = self._level_var[level]
         y = self._level_var[level + 1]
-        reachable = self._reachable(self._roots)
-        xnodes = [(u, self._node[u]) for u in sorted(reachable)
-                  if self._node[u][0] == x]
-        # Swap the order maps first so node creation below sees x under y.
+        xtable = self._unique[x]
+        ytable = self._unique[y]
+        if self.node_limit is not None and \
+                len(self._node) + 2 * len(xtable) > self.node_limit:
+            raise NodeLimitError(
+                f"node limit {self.node_limit} could be passed by a level swap")
+        nodes = self._node
+        refs = self._refs
+        add = self._add
         self._level_var[level] = y
         self._level_var[level + 1] = x
         self._var_level[x] = level + 1
         self._var_level[y] = level
-        for u, (_, f0, f1) in xnodes:
-            t0 = self._node.get(f0)
-            t1 = self._node.get(f1)
+        orphans = []
+        # Every x node is rewritten, referenced or not, so both tables
+        # stay canonical; handle order makes the new handles independent
+        # of the order the table was filled in.
+        for u in sorted(xtable.values()):
+            key = nodes[u]
+            _, f0, f1 = key
+            t0 = nodes.get(f0)
+            t1 = nodes.get(f1)
             y0 = t0 is not None and t0[0] == y
             y1 = t1 is not None and t1[0] == y
             if not (y0 or y1):
                 continue  # independent of y: keeps its label one level down
-            del self._unique[(x, f0, f1)]
+            del xtable[key]
             f00, f01 = (t0[1], t0[2]) if y0 else (f0, f0)
             f10, f11 = (t1[1], t1[2]) if y1 else (f1, f1)
-            g0 = self.mk_node(x, f00, f10)
-            g1 = self.mk_node(x, f01, f11)
+            # mk_node without its checks: the children are live and lie
+            # below both levels, and the limit was checked above.
+            k0 = (x, f00, f10)
+            k1 = (x, f01, f11)
+            g0 = f00 if f00 == f10 else xtable.get(k0) or add(k0)
+            g1 = f01 if f01 == f11 else xtable.get(k1) or add(k1)
             if g0 == g1:
                 raise AssertionError("swap lost a dependence on the lower variable")
-            stale = self._unique.get((y, g0, g1))
-            if stale is not None:
-                # Leftover garbage from an earlier swap; retire it for good.
-                if stale in reachable:
-                    raise AssertionError("live node collided during level swap")
-                del self._node[stale]
-                del self._unique[(y, g0, g1)]
-            self._node[u] = (y, g0, g1)
-            self._unique[(y, g0, g1)] = u
+            key = (y, g0, g1)
+            nodes[u] = key
+            ytable[key] = u
+            refs[g0 & _SLOT] += 1
+            refs[g1 & _SLOT] += 1
+            for f, was_y in ((f0, y0), (f1, y1)):
+                refs[f & _SLOT] -= 1
+                if was_y and not refs[f & _SLOT]:
+                    orphans.append(f)
+        # An orphaned y node's children stay referenced by the x node or
+        # the rewritten node that took them over, so retiring stops here.
+        for f in orphans:
+            key = nodes.pop(f)
+            del ytable[key]
+            refs[key[1] & _SLOT] -= 1
+            refs[key[2] & _SLOT] -= 1
         self._cache.clear()
 
     def set_order(self, order: Sequence[int]) -> None:
@@ -421,9 +467,10 @@ class BddManager:
     def clone(self) -> "BddManager":
         """Independent copy sharing handle values with this manager."""
         m = BddManager(self.n, order=self.order, node_limit=self.node_limit)
+        m._base = self._base
+        m._refs = self._refs[:]
         m._node = dict(self._node)
-        m._unique = dict(self._unique)
-        m._next = self._next
+        m._unique = [dict(table) for table in self._unique]
         m._roots = list(self._roots)
         return m
 

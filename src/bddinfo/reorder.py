@@ -3,8 +3,10 @@ sifting and window-permutation baselines.
 
 All three run on the same substrate (adjacent level swaps on a live
 manager), preserve every registered root, and return a ReorderTrace.
-Each call ends with a mandatory equivalence check of the reordered
-functions against a snapshot taken on entry.
+Each call sweeps garbage once on entry; swaps then retire every node
+they orphan, so every size is ``len(manager)``: the shared node count
+of all registered roots.  Each call ends with a mandatory equivalence
+check of the reordered functions against a snapshot taken on entry.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class ReorderTrace:
 
 
 def _resolve_roots(manager: BddManager, roots: Iterable[int] | None) -> list[int]:
+    """Register explicit roots, then sweep everything no root reaches."""
     if roots is None:
         resolved = list(manager.registered_roots)
     else:
@@ -62,6 +65,7 @@ def _resolve_roots(manager: BddManager, roots: Iterable[int] | None) -> list[int
             manager._check(r)
             if r not in registered:
                 manager.register_root(r)
+    manager.collect_garbage()
     return resolved
 
 
@@ -91,7 +95,8 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
     Level by level, every still-unplaced variable is scored by the
     conditional entropy of the outputs given the already placed prefix
     plus that variable; the minimizer (smallest variable id on ties) is
-    moved to the level through adjacent swaps.
+    moved to the level through adjacent swaps.  ``roots`` (default: the
+    registered roots) are registered; sizes count every registered root.
     """
     t0 = time.perf_counter()
     roots = _resolve_roots(manager, roots)
@@ -100,7 +105,7 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
     trace = ReorderTrace(method="info",
                          initial_order=list(manager.order),
                          final_order=[],
-                         initial_size=manager.count_nodes(roots),
+                         initial_size=len(manager),
                          final_size=0)
     n = manager.n
     for level in range(n):
@@ -116,12 +121,11 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
         while cur > level:
             manager.swap_adjacent_levels(cur - 1)
             cur -= 1
-        manager.collect_garbage()
         trace.steps.append(TraceStep(level=level, scores=scored, chosen=chosen,
                                      tie=len(group) > 1,
-                                     size_after=manager.count_nodes(roots)))
+                                     size_after=len(manager)))
     trace.final_order = list(manager.order)
-    trace.final_size = manager.count_nodes(roots)
+    trace.final_size = len(manager)
     _verify_unchanged(manager, roots, snapshot)
     trace.elapsed = time.perf_counter() - t0
     return trace
@@ -131,23 +135,22 @@ def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrac
     """Rudell-style sifting: move each variable through every level and
     park it where the shared node count is smallest.  Variables are
     processed by decreasing node population; the total size never ends
-    up above its starting value."""
+    up above its starting value.  ``roots`` (default: the registered
+    roots) are registered; sizes count every registered root."""
     t0 = time.perf_counter()
     roots = _resolve_roots(manager, roots)
     snapshot = _snapshot(manager, roots)
     trace = ReorderTrace(method="sift",
                          initial_order=list(manager.order),
                          final_order=[],
-                         initial_size=manager.count_nodes(roots),
+                         initial_size=len(manager),
                          final_size=0)
     n = manager.n
-    population: dict[int, int] = {var: 0 for var in range(n)}
-    for u in manager._reachable(roots):
-        population[manager._node[u][0]] += 1
+    population = [len(table) for table in manager._unique]
     priority = sorted(range(n), key=lambda var: (-population[var], var))
     for var in priority:
         start = manager.level_of_var(var)
-        best_size = manager.count_nodes(roots)
+        best_size = len(manager)
         best_pos = start
         if start <= n - 1 - start:
             sweep = list(range(start - 1, -1, -1)) + list(range(1, n))
@@ -156,7 +159,7 @@ def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrac
         for pos in sweep:
             cur = manager.level_of_var(var)
             manager.swap_adjacent_levels(min(cur, pos))
-            size = manager.count_nodes(roots)
+            size = len(manager)
             if size < best_size:
                 best_size = size
                 best_pos = pos
@@ -167,13 +170,12 @@ def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrac
         while cur < best_pos:
             manager.swap_adjacent_levels(cur)
             cur += 1
-        manager.collect_garbage()
         trace.steps.append(TraceStep(level=best_pos,
                                      scores=[(var, float(best_size))],
                                      chosen=var, tie=False,
-                                     size_after=manager.count_nodes(roots)))
+                                     size_after=len(manager)))
     trace.final_order = list(manager.order)
-    trace.final_size = manager.count_nodes(roots)
+    trace.final_size = len(manager)
     _verify_unchanged(manager, roots, snapshot)
     trace.elapsed = time.perf_counter() - t0
     return trace
@@ -183,7 +185,13 @@ def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
                    window: int = 3) -> ReorderTrace:
     """Sliding-window reordering: exhaustively permute each group of
     ``window`` adjacent levels, keep the best arrangement, and sweep
-    until a full pass brings no improvement."""
+    until a full pass brings no improvement.  ``roots`` (default: the
+    registered roots) are registered; sizes count every registered root.
+
+    Each window visits its k! arrangements by k!-1 adjacent swaps
+    (Steinhaus-Johnson-Trotter).  The first smallest arrangement in
+    ``itertools.permutations(sorted(group))`` order is kept if it is
+    strictly smaller than the current one."""
     if window not in (2, 3, 4):
         raise ValueError(f"window must be 2, 3 or 4, got {window}")
     if window > manager.n:
@@ -194,36 +202,61 @@ def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
     trace = ReorderTrace(method="window",
                          initial_order=list(manager.order),
                          final_order=[],
-                         initial_size=manager.count_nodes(roots),
+                         initial_size=len(manager),
                          final_size=0)
     n = manager.n
+    walk = _plain_changes(window)
     improved = True
     while improved:
         improved = False
         for start in range(0, n - window + 1):
-            base_size = manager.count_nodes(roots)
-            group = sorted(manager.var_at_level(start + i) for i in range(window))
-            best_perm = tuple(manager.var_at_level(start + i) for i in range(window))
+            base_size = len(manager)
+            current = [manager.var_at_level(start + i) for i in range(window)]
+            base_perm = tuple(current)
+            sizes = {base_perm: base_size}
+            for offset in walk:
+                manager.swap_adjacent_levels(start + offset)
+                current[offset], current[offset + 1] = \
+                    current[offset + 1], current[offset]
+                sizes[tuple(current)] = len(manager)
+            best_perm = base_perm
             best_size = base_size
-            for perm in itertools.permutations(group):
-                _place_window(manager, start, perm)
-                size = manager.count_nodes(roots)
-                if size < best_size:
-                    best_size = size
+            for perm in itertools.permutations(sorted(base_perm)):
+                if sizes[perm] < best_size:
+                    best_size = sizes[perm]
                     best_perm = perm
             _place_window(manager, start, best_perm)
             if best_size < base_size:
                 improved = True
-                manager.collect_garbage()
                 trace.steps.append(TraceStep(level=start, scores=[],
                                              chosen=None, tie=False,
                                              size_after=best_size))
-    manager.collect_garbage()
     trace.final_order = list(manager.order)
-    trace.final_size = manager.count_nodes(roots)
+    trace.final_size = len(manager)
     _verify_unchanged(manager, roots, snapshot)
     trace.elapsed = time.perf_counter() - t0
     return trace
+
+
+def _plain_changes(k: int) -> list[int]:
+    """Offsets i of the k!-1 adjacent transpositions (i, i+1) that walk
+    through every arrangement of k items exactly once
+    (Steinhaus-Johnson-Trotter): the last item sweeps from end to end,
+    and between sweeps the others take one step of their own walk."""
+    if k < 2:
+        return []
+    inner = _plain_changes(k - 1)
+    walk: list[int] = []
+    for sweep in range(len(inner) + 1):
+        if sweep % 2 == 0:
+            walk.extend(range(k - 2, -1, -1))   # the last item ends at 0
+            shift = 1
+        else:
+            walk.extend(range(k - 1))           # the last item ends at k-1
+            shift = 0
+        if sweep < len(inner):
+            walk.append(inner[sweep] + shift)
+    return walk
 
 
 def _place_window(manager: BddManager, start: int, perm: tuple[int, ...]) -> None:

@@ -1,9 +1,11 @@
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
 from bddinfo import BddManager
+from bddinfo.manager import _SLOT
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -31,3 +33,21 @@ def random_function(rng: random.Random, n: int) -> str:
 @pytest.fixture
 def rng():
     return random.Random(0xBDD)
+
+
+def assert_manager_consistent(m: BddManager) -> None:
+    """Rebuild the per-variable unique tables and the reference counts
+    (parent nodes plus root registrations) from the node store and
+    compare them with the manager's own."""
+    tables = [{} for _ in range(m.n)]
+    counts = Counter(m.registered_roots)
+    for u, key in m._node.items():
+        var, lo, hi = key
+        assert lo != hi
+        assert m.level_of(u) < min(m.level_of(lo), m.level_of(hi))
+        tables[var][key] = u
+        counts[lo] += 1
+        counts[hi] += 1
+    assert m._unique == tables
+    for u in [0, 1, *m._node]:
+        assert m._refs[u & _SLOT] == counts[u], u

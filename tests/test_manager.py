@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from bddinfo import (
     OrderingError, UsageError, copy_function, enumerate_bdd,
 )
 
-from conftest import EXAMPLE1_VECTOR
+from conftest import EXAMPLE1_VECTOR, assert_manager_consistent, random_function
 
 
 def test_terminals_distinct():
@@ -252,20 +253,47 @@ def test_swap_sequence_preserves_multi_roots(rng):
 
 
 def test_swap_storm_keeps_unique_table_canonical(rng):
-    """Long uncollected swap sequences leave stale unique-table entries
-    behind; rewrites must retire any entry they collide with."""
+    """Long swap sequences keep every per-variable table canonical and
+    retire what they orphan, so the live count stays the shared size."""
     for _ in range(25):
         n = rng.randint(3, 6)
         m = BddManager(n)
         vec = "".join(rng.choice("01") for _ in range(1 << n))
         root = m.register_root(m.build_from_truth_vector(vec))
+        m.collect_garbage()
         for _ in range(80):
             m.swap_adjacent_levels(rng.randrange(n - 1))
-            assert len(m._node) == len(m._unique)
+            assert sum(map(len, m._unique)) == len(m._node)
             for u, key in m._node.items():
-                assert m._unique[key] == u
+                assert m._unique[key[0]][key] == u
+            assert_manager_consistent(m)
+            assert len(m) == m.shared_size()
         assert enumerate_bdd(m, root).to_string() == vec
         assert m.build_from_truth_vector(vec) == root   # same handle
+
+
+def test_stale_handles_raise_or_keep_their_function():
+    """A handle no root keeps is either still its own function after
+    swaps, or retired by them and rejected; never silently wrong."""
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        m = BddManager(n)
+        m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+        vec = random_function(rng, n)
+        loose = m.build_from_truth_vector(vec)
+        for _ in range(5):
+            m.swap_adjacent_levels(rng.randrange(n - 1))
+        assert_manager_consistent(m)
+        try:
+            got = enumerate_bdd(m, loose).to_string()
+        except ManagerMismatchError:
+            outcomes.add("retired")
+            continue
+        assert got == vec
+        outcomes.add("kept")
+    assert outcomes == {"retired", "kept"}
 
 
 def test_set_order(example1):

@@ -1,14 +1,21 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    BddManager, TruthTable, VarProbabilities, best_order_exhaustive,
-    conditional_entropy_var, enumerate_bdd, exact_measures, info_reorder,
-    sift, window_permute,
+    BddManager, NodeLimitError, TruthTable, VarProbabilities,
+    best_order_exhaustive, conditional_entropy_var, enumerate_bdd,
+    exact_measures, info_reorder, sift, window_permute,
 )
+from bddinfo.cli import load_circuit
+from bddinfo.reorder import _place_window, _plain_changes
 
-from conftest import EXAMPLE1_VECTOR, random_function
+from conftest import (
+    DATA, EXAMPLE1_VECTOR, assert_manager_consistent, random_function,
+)
 
 
 def build(vector, order=None):
@@ -137,6 +144,91 @@ def test_window_never_increases(rng):
         trace = window_permute(manager, window=3)
         assert trace.final_size <= trace.initial_size
         assert enumerate_bdd(manager, root).to_string() == vector
+
+
+def _window_reference(manager, window):
+    """Window permutation placing every arrangement from scratch, the
+    loop ``window_permute`` had before its plain-changes walk."""
+    roots = list(manager.registered_roots)
+    manager.collect_garbage()
+    n = manager.n
+    steps = []
+    improved = True
+    while improved:
+        improved = False
+        for start in range(0, n - window + 1):
+            base_size = manager.count_nodes(roots)
+            group = sorted(manager.var_at_level(start + i) for i in range(window))
+            best_perm = tuple(manager.var_at_level(start + i) for i in range(window))
+            best_size = base_size
+            for perm in itertools.permutations(group):
+                _place_window(manager, start, perm)
+                size = manager.count_nodes(roots)
+                if size < best_size:
+                    best_size = size
+                    best_perm = perm
+            _place_window(manager, start, best_perm)
+            if best_size < base_size:
+                improved = True
+                steps.append((start, best_size))
+    return list(manager.order), manager.count_nodes(roots), steps
+
+
+def test_window_walk_matches_reference_loop(rng):
+    for trial in range(30):
+        vector = random_function(rng, 6)
+        window = (2, 3, 4)[trial % 3]
+        manager, _ = build(vector)
+        trace = window_permute(manager, window=window)
+        reference, _ = build(vector)
+        order, size, steps = _window_reference(reference, window)
+        assert trace.final_order == order
+        assert trace.final_size == size
+        assert [(s.level, s.size_after) for s in trace.steps] == steps
+        assert_manager_consistent(manager)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_plain_changes_visit_every_arrangement(k):
+    walk = _plain_changes(k)
+    assert len(walk) == math.factorial(k) - 1
+    items = list(range(k))
+    seen = {tuple(items)}
+    for offset in walk:
+        assert 0 <= offset < k - 1
+        items[offset], items[offset + 1] = items[offset + 1], items[offset]
+        seen.add(tuple(items))
+    assert len(seen) == math.factorial(k)
+
+
+@pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
+def test_sizes_count_every_registered_root(rng, method):
+    m = BddManager(5)
+    m.register_root(m.build_from_truth_vector(random_function(rng, 5)))
+    a = m.build_from_truth_vector(random_function(rng, 5))
+    trace = method(m, roots=[a])
+    assert a in m.registered_roots
+    assert trace.final_size == m.shared_size() == len(m)
+    assert trace.final_size > m.count_nodes([a])
+
+
+def test_sift_under_node_limit_leaves_manager_intact():
+    """A swap that could pass node_limit raises before changing anything."""
+    circuit = load_circuit(str(DATA / "c17.blif"))
+    m = circuit.manager
+    roots = [root for _, root in circuit.outputs]
+    tables = [enumerate_bdd(m, r).bits for r in roots]
+    m.collect_garbage()
+    m.node_limit = len(m) + 1
+    with pytest.raises(NodeLimitError):
+        sift(m)
+    assert_manager_consistent(m)
+    m.node_limit = None
+    assert [enumerate_bdd(m, r).bits for r in roots] == tables
+    trace = sift(m)
+    assert [enumerate_bdd(m, r).bits for r in roots] == tables
+    assert trace.final_size == m.shared_size()
+    assert_manager_consistent(m)
 
 
 def test_window_validation(example1):
