@@ -154,6 +154,11 @@ class BddManager:
             raise OrderingError(
                 f"variable {var} at level {level} cannot test a child at or "
                 f"above that level")
+        return self._mk(var, lo, hi)
+
+    def _mk(self, var: int, lo: int, hi: int) -> int:
+        """mk_node without its checks, for callers that pass live,
+        distinct children lying below ``var``'s level."""
         key = (var, lo, hi)
         found = self._unique[var].get(key)
         if found is not None:
@@ -232,7 +237,7 @@ class BddManager:
         b0, b1 = (self._node[b][1], self._node[b][2]) if lb == level else (b, b)
         r0 = self._apply(op, a0, b0)
         r1 = self._apply(op, a1, b1)
-        r = r0 if r0 == r1 else self.mk_node(var, r0, r1)
+        r = r0 if r0 == r1 else self._mk(var, r0, r1)
         self._cache[key] = r
         return r
 
@@ -251,7 +256,7 @@ class BddManager:
         if found is not None:
             return found
         var, lo, hi = self._node[a]
-        r = self.mk_node(var, self._negate(lo), self._negate(hi))
+        r = self._mk(var, self._negate(lo), self._negate(hi))
         self._cache[key] = r
         return r
 
@@ -276,7 +281,7 @@ class BddManager:
             return found
         r0 = self._cofactor(lo, target_level, var, value)
         r1 = self._cofactor(hi, target_level, var, value)
-        r = r0 if r0 == r1 else self.mk_node(v, r0, r1)
+        r = r0 if r0 == r1 else self._mk(v, r0, r1)
         self._cache[key] = r
         return r
 
@@ -312,7 +317,7 @@ class BddManager:
         nrem = rem[:r] + rem[r + 1:]
         l = self._from_vec(lo, level + 1, nrem)
         h = self._from_vec(hi, level + 1, nrem)
-        return l if l == h else self.mk_node(var, l, h)
+        return l if l == h else self._mk(var, l, h)
 
     def evaluate(self, root: int, assignment: Sequence[int]) -> int:
         """Evaluate at an assignment indexed by variable id."""
@@ -459,13 +464,31 @@ class BddManager:
         if sorted(target) != list(range(self.n)):
             raise UsageError(f"order must be a permutation of 0..{self.n - 1}")
         for level, var in enumerate(target):
-            cur = self._var_level[var]
-            while cur > level:
-                self.swap_adjacent_levels(cur - 1)
-                cur -= 1
+            self.move_var(var, level)
+
+    def move_var(self, var: int, level: int) -> None:
+        """Move ``var`` to ``level`` by adjacent swaps, up or down; the
+        variables in between shift one level towards its old place."""
+        cur = self.level_of_var(var)
+        if not 0 <= level < self.n:
+            raise UsageError(f"level {level} out of range")
+        while cur > level:
+            self.swap_adjacent_levels(cur - 1)
+            cur -= 1
+        while cur < level:
+            self.swap_adjacent_levels(cur)
+            cur += 1
 
     def clone(self) -> "BddManager":
-        """Independent copy sharing handle values with this manager."""
+        """Independent copy sharing handle values with this manager.
+
+        Sharing handles is part of the contract: every handle live at the
+        copy names the same function in both managers, and level swaps
+        keep it so.  Callers therefore carry root handles over to the copy
+        and compare functions across the two by handle; this is how the
+        reorder check and ``compare`` use it.  Handles made after the copy
+        may coincide between the two and name different functions.
+        """
         m = BddManager(self.n, order=self.order, node_limit=self.node_limit)
         m._base = self._base
         m._refs = self._refs[:]

@@ -253,8 +253,9 @@ def entropy(manager: BddManager, root: int,
 
 
 def _conditional_entropy(manager: BddManager, root: int, given: set[int],
-                         w: VarProbabilities) -> float:
-    """H(f|given) in bits, the one conditioning routine.
+                         w: VarProbabilities, order: list[int]) -> float:
+    """H(f|given) in bits, the one conditioning routine, over the root's
+    graph as ``_levelled`` sorts it (``order``).
 
     Given variables on the top levels are branched on by pushing path
     mass down through those levels.  Every assignment to the others is
@@ -267,7 +268,6 @@ def _conditional_entropy(manager: BddManager, root: int, given: set[int],
     while depth < manager.n and level_var[depth] in given:
         depth += 1
     rest = sorted(given.difference(level_var[:depth]))
-    order = _levelled(manager, root)
     split = bisect.bisect_left(order, depth, key=lambda u: level[nodes[u][0]])
     reach = _top_down(manager, root, order[:split], w)
     below = order[split:]
@@ -290,7 +290,8 @@ def conditional_entropy_var(manager: BddManager, root: int, var: int,
     """H(f|x) in bits: the weight-averaged entropies of f with x fixed."""
     manager._check(root)
     manager._check_var(var)
-    return _conditional_entropy(manager, root, {var}, _check_weights(manager, w))
+    return _conditional_entropy(manager, root, {var}, _check_weights(manager, w),
+                                _levelled(manager, root))
 
 
 def conditional_entropy_set(manager: BddManager, root: int,
@@ -302,7 +303,7 @@ def conditional_entropy_set(manager: BddManager, root: int,
     given = set(variables)
     for var in given:
         manager._check_var(var)
-    return _conditional_entropy(manager, root, given, w)
+    return _conditional_entropy(manager, root, given, w, _levelled(manager, root))
 
 
 def mutual_information(manager: BddManager, root: int, var: int,
@@ -315,20 +316,24 @@ def mutual_information(manager: BddManager, root: int, var: int,
 def measure_report(manager: BddManager, root: int,
                    w: VarProbabilities | None = None,
                    subsets: Iterable[Iterable[int]] = ()) -> MeasureReport:
-    """Full entropy report for one output."""
+    """Full entropy report for one output.  The root's graph is walked
+    and sorted once, for the probability and every conditional."""
     manager._check(root)
     w = _check_weights(manager, w)
-    sat = weighted_sat_probability(manager, root, w)
+    order = _levelled(manager, root)
+    sat = _bottom_up(manager, order, w)[root]
     h = _binary_entropy(sat)
     cond = {}
     mutual = {}
     for var in range(manager.n):
-        hv = conditional_entropy_var(manager, root, var, w)
+        hv = _conditional_entropy(manager, root, {var}, w, order)
         cond[var] = hv
         mutual[var] = h - hv
     set_entropy = {}
     for subset in subsets:
         vs = tuple(sorted(set(subset)))
-        set_entropy[vs] = conditional_entropy_set(manager, root, vs, w)
+        for var in vs:
+            manager._check_var(var)
+        set_entropy[vs] = _conditional_entropy(manager, root, set(vs), w, order)
     return MeasureReport(sat=sat, entropy=h, cond_entropy=cond,
                          mutual_info=mutual, set_entropy=set_entropy)

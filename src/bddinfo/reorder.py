@@ -1,23 +1,24 @@
 """Variable reordering: entropy-guided greedy search plus the classic
 sifting and window-permutation baselines.
 
-All three run on the same substrate (adjacent level swaps on a live
-manager), preserve every registered root, and return a ReorderTrace.
-Each call sweeps garbage once on entry; swaps then retire every node
-they orphan, so every size is ``len(manager)``: the shared node count
-of all registered roots.  Each call ends with a mandatory equivalence
-check of the reordered functions against a snapshot taken on entry.
+All three are search loops over adjacent level swaps on a live
+manager (``BddManager.move_var``), run by one driver, ``_run``, that
+returns a ReorderTrace.  The driver sweeps garbage once on entry;
+swaps then retire every node they orphan, so every size is
+``len(manager)``: the shared node count of all registered roots.  Each
+call ends with a mandatory check that every registered root still
+computes the function snapshotted on entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 # perfbench/tracer.py wraps copy_function and conditional_entropy_var here.
-from .manager import XOR, ZERO, BddManager, BddError, copy_function
+from .manager import BddManager, BddError, copy_function
 from .measures import VarProbabilities, _check_weights, conditional_entropy_var
 from . import measures, oracle
 
@@ -54,38 +55,49 @@ class ReorderTrace:
     elapsed: float = 0.0
 
 
-def _resolve_roots(manager: BddManager, roots: Iterable[int] | None) -> list[int]:
-    """Register explicit roots, then sweep everything no root reaches."""
-    if roots is None:
-        resolved = list(manager.registered_roots)
-    else:
-        resolved = list(roots)
-        registered = set(manager.registered_roots)
-        for r in resolved:
-            manager._check(r)
-            if r not in registered:
-                manager.register_root(r)
+def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
+         search: Callable[[list[int]], Iterator[TraceStep]]) -> ReorderTrace:
+    """The plumbing every reorderer shares around its ``search``.
+
+    Explicit ``roots`` are registered, then garbage is swept once.  Every
+    registered root is snapshotted: truth tables up to
+    _EXHAUSTIVE_CHECK_VARS variables, a ``clone()`` above.  ``search`` is
+    called with the explicit roots (default: the registered ones) and
+    its steps fill the trace.  Afterwards every registered root must
+    still compute its snapshotted function, or BddError is raised.
+    """
+    t0 = time.perf_counter()
+    roots = list(manager.registered_roots if roots is None else roots)
+    registered = set(manager.registered_roots)
+    for r in roots:
+        if r not in registered:
+            manager.register_root(r)
     manager.collect_garbage()
-    return resolved
-
-
-def _snapshot(manager: BddManager, roots: list[int]):
-    if manager.n <= _EXHAUSTIVE_CHECK_VARS:
-        return ("tables", [oracle.enumerate_bdd(manager, r).bits for r in roots])
-    return ("clone", manager.clone(), list(roots))
-
-
-def _verify_unchanged(manager: BddManager, roots: list[int], snapshot) -> None:
-    if snapshot[0] == "tables":
-        for r, bits in zip(roots, snapshot[1]):
-            if oracle.enumerate_bdd(manager, r).bits != bits:
-                raise BddError("reordering changed a root's function")
+    kept = list(manager.registered_roots)
+    tabulate = manager.n <= _EXHAUSTIVE_CHECK_VARS
+    if tabulate:
+        tables = [oracle.enumerate_bdd(manager, r).bits for r in kept]
     else:
-        _, before, old_roots = snapshot
-        for r, old in zip(roots, old_roots):
-            image = copy_function(before, old, manager)
-            if manager.apply(XOR, image, r) != ZERO:
-                raise BddError("reordering changed a root's function")
+        before = manager.clone()
+    trace = ReorderTrace(method=method,
+                         initial_order=list(manager.order),
+                         final_order=[],
+                         initial_size=len(manager),
+                         final_size=0)
+    trace.steps.extend(search(roots))
+    trace.final_order = list(manager.order)
+    trace.final_size = len(manager)
+    if tabulate:
+        changed = any(oracle.enumerate_bdd(manager, r).bits != bits
+                      for r, bits in zip(kept, tables))
+    else:
+        # The clone shares handles and both managers are canonical, so
+        # an unchanged function is rebuilt as the very same handle.
+        changed = any(copy_function(before, r, manager) != r for r in kept)
+    if changed:
+        raise BddError("reordering changed a root's function")
+    trace.elapsed = time.perf_counter() - t0
+    return trace
 
 
 def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
@@ -98,37 +110,23 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
     moved to the level through adjacent swaps.  ``roots`` (default: the
     registered roots) are registered; sizes count every registered root.
     """
-    t0 = time.perf_counter()
-    roots = _resolve_roots(manager, roots)
     w = _check_weights(manager, weights)
-    snapshot = _snapshot(manager, roots)
-    trace = ReorderTrace(method="info",
-                         initial_order=list(manager.order),
-                         final_order=[],
-                         initial_size=len(manager),
-                         final_size=0)
-    n = manager.n
-    for level in range(n):
-        placed = list(manager.order[:level])
-        scored = [(var, sum(measures.conditional_entropy_set(
-                                manager, root, placed + [var], w)
-                            for root in roots))
-                  for var in sorted(manager.order[level:])]
-        best = min(score for _, score in scored)
-        group = [var for var, score in scored if score <= best + _TIE_TOL]
-        chosen = min(group)
-        cur = manager.level_of_var(chosen)
-        while cur > level:
-            manager.swap_adjacent_levels(cur - 1)
-            cur -= 1
-        trace.steps.append(TraceStep(level=level, scores=scored, chosen=chosen,
-                                     tie=len(group) > 1,
-                                     size_after=len(manager)))
-    trace.final_order = list(manager.order)
-    trace.final_size = len(manager)
-    _verify_unchanged(manager, roots, snapshot)
-    trace.elapsed = time.perf_counter() - t0
-    return trace
+
+    def search(roots: list[int]) -> Iterator[TraceStep]:
+        for level in range(manager.n):
+            placed = list(manager.order[:level])
+            scored = [(var, sum(measures.conditional_entropy_set(
+                                    manager, root, placed + [var], w)
+                                for root in roots))
+                      for var in sorted(manager.order[level:])]
+            best = min(score for _, score in scored)
+            group = [var for var, score in scored if score <= best + _TIE_TOL]
+            chosen = min(group)
+            manager.move_var(chosen, level)
+            yield TraceStep(level=level, scores=scored, chosen=chosen,
+                            tie=len(group) > 1, size_after=len(manager))
+
+    return _run("info", manager, roots, search)
 
 
 def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrace:
@@ -137,48 +135,30 @@ def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrac
     processed by decreasing node population; the total size never ends
     up above its starting value.  ``roots`` (default: the registered
     roots) are registered; sizes count every registered root."""
-    t0 = time.perf_counter()
-    roots = _resolve_roots(manager, roots)
-    snapshot = _snapshot(manager, roots)
-    trace = ReorderTrace(method="sift",
-                         initial_order=list(manager.order),
-                         final_order=[],
-                         initial_size=len(manager),
-                         final_size=0)
-    n = manager.n
-    population = [len(table) for table in manager._unique]
-    priority = sorted(range(n), key=lambda var: (-population[var], var))
-    for var in priority:
-        start = manager.level_of_var(var)
-        best_size = len(manager)
-        best_pos = start
-        if start <= n - 1 - start:
-            sweep = list(range(start - 1, -1, -1)) + list(range(1, n))
-        else:
-            sweep = list(range(start + 1, n)) + list(range(n - 2, -1, -1))
-        for pos in sweep:
-            cur = manager.level_of_var(var)
-            manager.swap_adjacent_levels(min(cur, pos))
-            size = len(manager)
-            if size < best_size:
-                best_size = size
-                best_pos = pos
-        cur = manager.level_of_var(var)
-        while cur > best_pos:
-            manager.swap_adjacent_levels(cur - 1)
-            cur -= 1
-        while cur < best_pos:
-            manager.swap_adjacent_levels(cur)
-            cur += 1
-        trace.steps.append(TraceStep(level=best_pos,
-                                     scores=[(var, float(best_size))],
-                                     chosen=var, tie=False,
-                                     size_after=len(manager)))
-    trace.final_order = list(manager.order)
-    trace.final_size = len(manager)
-    _verify_unchanged(manager, roots, snapshot)
-    trace.elapsed = time.perf_counter() - t0
-    return trace
+
+    def search(roots: list[int]) -> Iterator[TraceStep]:
+        n = manager.n
+        population = [len(table) for table in manager._unique]
+        priority = sorted(range(n), key=lambda var: (-population[var], var))
+        for var in priority:
+            start = manager.level_of_var(var)
+            best_size = len(manager)
+            best_pos = start
+            if start <= n - 1 - start:
+                sweep = list(range(start - 1, -1, -1)) + list(range(1, n))
+            else:
+                sweep = list(range(start + 1, n)) + list(range(n - 2, -1, -1))
+            for pos in sweep:
+                manager.move_var(var, pos)      # one adjacent swap
+                size = len(manager)
+                if size < best_size:
+                    best_size = size
+                    best_pos = pos
+            manager.move_var(var, best_pos)
+            yield TraceStep(level=best_pos, scores=[(var, float(best_size))],
+                            chosen=var, tie=False, size_after=len(manager))
+
+    return _run("sift", manager, roots, search)
 
 
 def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
@@ -196,46 +176,32 @@ def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
         raise ValueError(f"window must be 2, 3 or 4, got {window}")
     if window > manager.n:
         raise ValueError(f"window {window} exceeds {manager.n} variables")
-    t0 = time.perf_counter()
-    roots = _resolve_roots(manager, roots)
-    snapshot = _snapshot(manager, roots)
-    trace = ReorderTrace(method="window",
-                         initial_order=list(manager.order),
-                         final_order=[],
-                         initial_size=len(manager),
-                         final_size=0)
-    n = manager.n
-    walk = _plain_changes(window)
-    improved = True
-    while improved:
-        improved = False
-        for start in range(0, n - window + 1):
-            base_size = len(manager)
-            current = [manager.var_at_level(start + i) for i in range(window)]
-            base_perm = tuple(current)
-            sizes = {base_perm: base_size}
-            for offset in walk:
-                manager.swap_adjacent_levels(start + offset)
-                current[offset], current[offset + 1] = \
-                    current[offset + 1], current[offset]
-                sizes[tuple(current)] = len(manager)
-            best_perm = base_perm
-            best_size = base_size
-            for perm in itertools.permutations(sorted(base_perm)):
-                if sizes[perm] < best_size:
-                    best_size = sizes[perm]
-                    best_perm = perm
-            _place_window(manager, start, best_perm)
-            if best_size < base_size:
-                improved = True
-                trace.steps.append(TraceStep(level=start, scores=[],
-                                             chosen=None, tie=False,
-                                             size_after=best_size))
-    trace.final_order = list(manager.order)
-    trace.final_size = len(manager)
-    _verify_unchanged(manager, roots, snapshot)
-    trace.elapsed = time.perf_counter() - t0
-    return trace
+
+    def search(roots: list[int]) -> Iterator[TraceStep]:
+        walk = _plain_changes(window)
+        improved = True
+        while improved:
+            improved = False
+            for start in range(0, manager.n - window + 1):
+                current = [manager.var_at_level(start + i) for i in range(window)]
+                base_perm = tuple(current)
+                sizes = {base_perm: len(manager)}
+                for offset in walk:
+                    manager.swap_adjacent_levels(start + offset)
+                    current[offset], current[offset + 1] = \
+                        current[offset + 1], current[offset]
+                    sizes[tuple(current)] = len(manager)
+                # min() keeps the first smallest, so base_perm wins ties.
+                best = min((base_perm, *itertools.permutations(sorted(base_perm))),
+                           key=sizes.__getitem__)
+                for offset, var in enumerate(best):
+                    manager.move_var(var, start + offset)
+                if best != base_perm:
+                    improved = True
+                    yield TraceStep(level=start, scores=[], chosen=None,
+                                    tie=False, size_after=sizes[best])
+
+    return _run("window", manager, roots, search)
 
 
 def _plain_changes(k: int) -> list[int]:
@@ -258,10 +224,3 @@ def _plain_changes(k: int) -> list[int]:
             walk.append(inner[sweep] + shift)
     return walk
 
-
-def _place_window(manager: BddManager, start: int, perm: tuple[int, ...]) -> None:
-    for offset, var in enumerate(perm):
-        cur = manager.level_of_var(var)
-        while cur > start + offset:
-            manager.swap_adjacent_levels(cur - 1)
-            cur -= 1

@@ -9,6 +9,10 @@ from conftest import DATA
 EXAMPLE1 = str(DATA / "example1.blif")
 EXAMPLE1_PLA = str(DATA / "example1.pla")
 C17 = str(DATA / "c17.blif")
+GOLDEN = DATA / "golden"
+GOLDEN_RUNS = [(("compare", "--format", "csv"), "compare_{}.csv")] + [
+    (("reorder", "--method", method, "--trace", "--format", "json"),
+     f"reorder_{{}}_{method}.json") for method in ("info", "sift", "window")]
 
 
 def run(capsys, *argv):
@@ -238,3 +242,14 @@ def test_machine_output_determinism(tmp_path, capsys):
         second = run(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+@pytest.mark.parametrize("circuit", ["c17", "s27"])
+@pytest.mark.parametrize("argv, golden", GOLDEN_RUNS,
+                         ids=[golden.split(".")[0] for _, golden in GOLDEN_RUNS])
+def test_stdout_matches_golden(capsys, circuit, argv, golden):
+    """Byte-for-byte stdout against files frozen from an earlier build;
+    the compare tables are the ones shown in the README."""
+    code, out, _ = run(capsys, argv[0], str(DATA / f"{circuit}.blif"), *argv[1:])
+    assert code == 0
+    assert out == (GOLDEN / golden.format(circuit)).read_text(encoding="utf-8")

@@ -303,6 +303,25 @@ def test_set_order(example1):
     assert enumerate_bdd(manager, root).to_string() == EXAMPLE1_VECTOR
 
 
+def test_move_var_up_and_down(rng):
+    m = BddManager(5)
+    vector = random_function(rng, 5)
+    root = m.register_root(m.build_from_truth_vector(vector))
+    m.move_var(3, 0)
+    assert m.order == (3, 0, 1, 2, 4)
+    m.move_var(3, 4)
+    assert m.order == (0, 1, 2, 4, 3)
+    m.move_var(1, 1)
+    assert m.order == (0, 1, 2, 4, 3)
+    assert enumerate_bdd(m, root).to_string() == vector
+    assert_manager_consistent(m)
+    for var, level in ((0, -1), (0, 5), (2, 7), (5, 0)):
+        with pytest.raises(UsageError):
+            m.move_var(var, level)
+        assert m.order == (0, 1, 2, 4, 3)
+    assert enumerate_bdd(m, root).to_string() == vector
+
+
 def test_collect_garbage_drops_unregistered():
     m = BddManager(3)
     keep = m.register_root(m.build_from_truth_vector("10001111"))

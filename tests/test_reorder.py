@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    BddManager, NodeLimitError, TruthTable, VarProbabilities,
+    BddError, BddManager, NodeLimitError, TruthTable, VarProbabilities,
     best_order_exhaustive, conditional_entropy_var, enumerate_bdd,
     exact_measures, info_reorder, sift, window_permute,
 )
 from bddinfo.cli import load_circuit
-from bddinfo.reorder import _place_window, _plain_changes
+from bddinfo.reorder import _plain_changes
 
 from conftest import (
     DATA, EXAMPLE1_VECTOR, assert_manager_consistent, random_function,
@@ -144,6 +144,11 @@ def test_window_never_increases(rng):
         trace = window_permute(manager, window=3)
         assert trace.final_size <= trace.initial_size
         assert enumerate_bdd(manager, root).to_string() == vector
+
+
+def _place_window(manager, start, perm):
+    for offset, var in enumerate(perm):
+        manager.move_var(var, start + offset)
 
 
 def _window_reference(manager, window):
@@ -286,10 +291,14 @@ def test_determinism(rng):
 def test_all_methods_preserve_semantics(n, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
     vector = format(bits, f"0{1 << n}b")
-    for method in (info_reorder, sift):
+    methods = [info_reorder, sift]
+    if n >= 2:
+        methods.append(lambda m: window_permute(m, window=min(3, n)))
+    for method in methods:
         manager, root = build(vector)
         method(manager)
         assert enumerate_bdd(manager, root).to_string() == vector
+        assert_manager_consistent(manager)
 
 
 def test_verification_on_wide_managers(rng):
@@ -301,3 +310,46 @@ def test_verification_on_wide_managers(rng):
     m.register_root(f)
     trace = sift(m)
     assert trace.final_size == 2 * 12 - 1   # parity size is order-insensitive
+
+
+def _flip_children(m, u):
+    """Make node ``u`` compute another function, (var, hi, lo) in place of
+    (var, lo, hi), keeping the unique tables and reference counts right."""
+    var, lo, hi = m._node[u]
+    assert (var, hi, lo) not in m._unique[var]
+    del m._unique[var][(var, lo, hi)]
+    m._node[u] = (var, hi, lo)
+    m._unique[var][(var, hi, lo)] = u
+
+
+@pytest.mark.parametrize("passed", [True, False], ids=["passed", "registered-only"])
+@pytest.mark.parametrize("n", [5, 12], ids=["tables", "clone"])
+@pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
+def test_a_root_corrupted_by_the_last_swap_is_caught(rng, monkeypatch,
+                                                     method, n, passed):
+    """Negative control of the final check, on the truth-table path
+    (n = 5) and the clone path (n = 12): the last swap of a run corrupts
+    one registered root, passed in ``roots`` or only registered."""
+    m = BddManager(n)
+    victim = m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+    other = m.build_from_truth_vector(random_function(rng, n))
+    roots = [victim, other] if passed else [other]
+    swap = BddManager.swap_adjacent_levels
+    calls = []
+    last = None
+
+    def corrupting_swap(self, level):
+        swap(self, level)
+        calls.append(level)
+        if len(calls) == last:
+            _flip_children(self, victim)
+
+    monkeypatch.setattr(BddManager, "swap_adjacent_levels", corrupting_swap)
+    method(m.clone(), roots=roots)      # a rehearsal counts the swaps
+    last = len(calls)
+    assert last > 0
+    calls.clear()
+    with pytest.raises(BddError, match="changed a root's function"):
+        method(m, roots=roots)
+    assert len(calls) == last
+    assert_manager_consistent(m)
