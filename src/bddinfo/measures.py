@@ -15,6 +15,15 @@ H(f|S) branches on the variables of S at the top of the order with the
 top-down pass and runs one forced bottom-up pass per assignment to the
 k others, 2^k passes in all.
 
+Entropy-guided reordering scores a whole level at once: for the placed
+prefix and every candidate x below it, ``_prefix_scores`` sums
+H(f | prefix, x) over the roots from one walk of their shared graph.
+Each root pushes its mass through the prefix once, one unforced
+bottom-up pass below the prefix serves every root and candidate, and a
+candidate on level L re-runs only the levels between the prefix and L,
+once per forced value.  ``measure_report`` takes every H(f|x) from the
+same kernel with an empty prefix.
+
 Both passes are loops, not recursions, and measures build no nodes:
 they work under any node_limit and leave len(manager) unchanged.
 
@@ -36,6 +45,7 @@ from dataclasses import dataclass, field
 from .manager import ONE, ZERO, BddManager
 
 _PAIR_TOL = 1e-12
+_FORCED = ((1.0, 0.0), (0.0, 1.0))      # a weight pair pinned to x=0 / x=1
 
 
 class WeightError(ValueError):
@@ -140,18 +150,22 @@ def _check_weights(manager: BddManager, w: VarProbabilities | None) -> VarProbab
     return w
 
 
-def _levelled(manager: BddManager, root: int) -> list[int]:
-    """Internal nodes reachable from the root, top level first, ties by handle."""
+def _levelled(manager: BddManager, roots: Iterable[int]) -> list[int]:
+    """Internal nodes reachable from the roots, top level first, ties by handle."""
     level, nodes = manager._var_level, manager._node
-    return sorted(manager._reachable((root,)),
+    return sorted(manager._reachable(roots),
                   key=lambda u: (level[nodes[u][0]], u))
 
 
 def _bottom_up(manager: BddManager, order: list[int],
-               w: VarProbabilities) -> dict[int, float]:
-    """Node probabilities over the level-sorted, child-closed ``order``."""
-    nodes, pairs = manager._node, w._pairs
-    sat = {ZERO: 0.0, ONE: 1.0}
+               pairs: Sequence[tuple[float, float]],
+               sat: dict[int, float] | None = None) -> dict[int, float]:
+    """Node probabilities over the level-sorted ``order``, under the weight
+    ``pairs`` indexed by variable.  ``sat`` holds the values of the
+    children below ``order`` (default: the terminals) and is filled in place."""
+    nodes = manager._node
+    if sat is None:
+        sat = {ZERO: 0.0, ONE: 1.0}
     for u in reversed(order):
         var, lo, hi = nodes[u]
         p0, p1 = pairs[var]
@@ -159,14 +173,16 @@ def _bottom_up(manager: BddManager, order: list[int],
     return sat
 
 
-def _top_down(manager: BddManager, root: int, order: list[int],
-              w: VarProbabilities) -> dict[int, float]:
-    """Path masses from the root, pushed down through the level-sorted ``order``."""
-    nodes, pairs = manager._node, w._pairs
-    reach = {root: 1.0}
+def _top_down(manager: BddManager, reach: dict[int, float], order: list[int],
+              pairs: Sequence[tuple[float, float]]) -> dict[int, float]:
+    """Push the path masses in ``reach`` down through the level-sorted
+    ``order``, in place; nodes that carry no mass are skipped."""
+    nodes = manager._node
     for u in order:
+        mass = reach.get(u)
+        if mass is None:
+            continue
         var, lo, hi = nodes[u]
-        mass = reach[u]
         p0, p1 = pairs[var]
         reach[lo] = reach.get(lo, 0.0) + mass * p0
         reach[hi] = reach.get(hi, 0.0) + mass * p1
@@ -183,7 +199,7 @@ def weighted_sat_probability(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager, w)
-    return _bottom_up(manager, _levelled(manager, root), w)[root]
+    return _bottom_up(manager, _levelled(manager, (root,)), w._pairs)[root]
 
 
 def reach_probabilities(manager: BddManager, root: int,
@@ -197,7 +213,7 @@ def reach_probabilities(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager, w)
-    return _top_down(manager, root, _levelled(manager, root), w)
+    return _top_down(manager, {root: 1.0}, _levelled(manager, (root,)), w._pairs)
 
 
 def all_joint_probabilities(manager: BddManager, root: int,
@@ -212,9 +228,9 @@ def all_joint_probabilities(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager, w)
-    order = _levelled(manager, root)
-    sat = _bottom_up(manager, order, w)
-    reach = _top_down(manager, root, order, w)
+    order = _levelled(manager, (root,))
+    sat = _bottom_up(manager, order, w._pairs)
+    reach = _top_down(manager, {root: 1.0}, order, w._pairs)
     nodes = manager._node
     p_one = sat[root]
     through: dict[int, float] = {}
@@ -252,6 +268,35 @@ def entropy(manager: BddManager, root: int,
     return _binary_entropy(weighted_sat_probability(manager, root, w))
 
 
+def _frontier(reach: dict[int, float], order: list[int]) -> list[tuple[int, float]]:
+    """(node, path mass) for each node of ``order`` that the mass reached."""
+    return [(u, reach[u]) for u in order if u in reach]
+
+
+def _force(pairs: Sequence[tuple[float, float]],
+           assignment: Iterable[tuple[int, int]]) -> tuple[float, list[tuple[float, float]]]:
+    """The weight of a partial assignment of (variable, value), and
+    ``pairs`` with each assigned variable's pair pinned to its value."""
+    forced = list(pairs)
+    weight = 1.0
+    for var, value in assignment:
+        forced[var] = _FORCED[value]
+        weight *= pairs[var][value]
+    return weight, forced
+
+
+def _entropy_sum(frontier: list[tuple[int, float]],
+                 passes: Iterable[tuple[float, dict[int, float]]]) -> float:
+    """One root's conditional entropy: over the bottom-up ``passes``
+    (assignment weight, node probabilities), then over its ``frontier``,
+    the sum of mass * weight * H(node)."""
+    total = 0.0
+    for weight, sat in passes:
+        for u, mass in frontier:
+            total += mass * weight * _binary_entropy(sat[u])
+    return total
+
+
 def _conditional_entropy(manager: BddManager, root: int, given: set[int],
                          w: VarProbabilities, order: list[int]) -> float:
     """H(f|given) in bits, the one conditioning routine, over the root's
@@ -262,27 +307,63 @@ def _conditional_entropy(manager: BddManager, root: int, given: set[int],
     one bottom-up pass, with their weight pairs forced, over the nodes
     the mass lands on and everything below them.
     """
-    nodes = manager._node
+    nodes, pairs = manager._node, w._pairs
     level, level_var = manager._var_level, manager._level_var
     depth = 0
     while depth < manager.n and level_var[depth] in given:
         depth += 1
     rest = sorted(given.difference(level_var[:depth]))
     split = bisect.bisect_left(order, depth, key=lambda u: level[nodes[u][0]])
-    reach = _top_down(manager, root, order[:split], w)
+    reach = _top_down(manager, {root: 1.0}, order[:split], pairs)
     below = order[split:]
-    frontier = [(u, reach[u]) for u in below if u in reach]
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=len(rest)):
-        forced = w
-        weight = 1.0
-        for var, value in zip(rest, bits):
-            forced = forced.forced(var, value)
-            weight *= w.pair(var)[value]
-        sat = _bottom_up(manager, below, forced)
-        for u, mass in frontier:
-            total += mass * weight * _binary_entropy(sat[u])
-    return total
+
+    def passes():
+        for bits in itertools.product((0, 1), repeat=len(rest)):
+            weight, forced = _force(pairs, zip(rest, bits))
+            yield weight, _bottom_up(manager, below, forced)
+
+    return _entropy_sum(_frontier(reach, below), passes())
+
+
+def _prefix_scores(manager: BddManager, roots: Sequence[int], depth: int,
+                   w: VarProbabilities) -> dict[int, float]:
+    """For every variable x on a level >= ``depth``, the sum over ``roots``
+    (in order, duplicates counted) of H(f | variables on levels < depth,
+    and x): float for float what summing ``_conditional_entropy`` over
+    the roots gives, from one walk of their shared graph.
+
+    Each root pushes its mass through the prefix once, and one unforced
+    bottom-up pass below the prefix serves every root.  The variable on
+    level ``depth`` only extends the prefix by its level.  A variable on
+    a deeper level L is forced both ways, and its two passes recompute
+    levels depth..L only: the nodes below L never test it.
+    """
+    nodes, pairs = manager._node, w._pairs
+    level, level_var = manager._var_level, manager._level_var
+    order = _levelled(manager, roots)
+    levels = [level[nodes[u][0]] for u in order]
+    start = [bisect.bisect_left(levels, at) for at in range(manager.n + 1)]
+    above, below = order[:start[depth]], order[start[depth]:]
+    reaches = [_top_down(manager, {root: 1.0}, above, pairs) for root in roots]
+    sat = _bottom_up(manager, below, pairs)
+    scores = {}
+    if depth < manager.n:
+        top = order[start[depth]:start[depth + 1]]
+        deeper = order[start[depth + 1]:]
+        scores[level_var[depth]] = sum(
+            _entropy_sum(_frontier(_top_down(manager, dict(reach), top, pairs), deeper),
+                         [(1.0, sat)])
+            for reach in reaches)
+    frontiers = [_frontier(reach, below) for reach in reaches]
+    for at in range(depth + 1, manager.n):
+        var = level_var[at]
+        part = order[start[depth]:start[at + 1]]
+        passes = []
+        for value in (0, 1):
+            weight, forced = _force(pairs, [(var, value)])
+            passes.append((weight, _bottom_up(manager, part, forced, dict(sat))))
+        scores[var] = sum(_entropy_sum(frontier, passes) for frontier in frontiers)
+    return scores
 
 
 def conditional_entropy_var(manager: BddManager, root: int, var: int,
@@ -291,7 +372,7 @@ def conditional_entropy_var(manager: BddManager, root: int, var: int,
     manager._check(root)
     manager._check_var(var)
     return _conditional_entropy(manager, root, {var}, _check_weights(manager, w),
-                                _levelled(manager, root))
+                                _levelled(manager, (root,)))
 
 
 def conditional_entropy_set(manager: BddManager, root: int,
@@ -303,7 +384,7 @@ def conditional_entropy_set(manager: BddManager, root: int,
     given = set(variables)
     for var in given:
         manager._check_var(var)
-    return _conditional_entropy(manager, root, given, w, _levelled(manager, root))
+    return _conditional_entropy(manager, root, given, w, _levelled(manager, (root,)))
 
 
 def mutual_information(manager: BddManager, root: int, var: int,
@@ -316,19 +397,17 @@ def mutual_information(manager: BddManager, root: int, var: int,
 def measure_report(manager: BddManager, root: int,
                    w: VarProbabilities | None = None,
                    subsets: Iterable[Iterable[int]] = ()) -> MeasureReport:
-    """Full entropy report for one output.  The root's graph is walked
-    and sorted once, for the probability and every conditional."""
+    """Full entropy report for one output.  Every H(f|x) comes from one
+    ``_prefix_scores`` call; the probability and the subsets share one
+    more walk of the root's graph."""
     manager._check(root)
     w = _check_weights(manager, w)
-    order = _levelled(manager, root)
-    sat = _bottom_up(manager, order, w)[root]
+    order = _levelled(manager, (root,))
+    sat = _bottom_up(manager, order, w._pairs)[root]
     h = _binary_entropy(sat)
-    cond = {}
-    mutual = {}
-    for var in range(manager.n):
-        hv = _conditional_entropy(manager, root, {var}, w, order)
-        cond[var] = hv
-        mutual[var] = h - hv
+    scores = _prefix_scores(manager, (root,), 0, w)
+    cond = {var: scores[var] for var in range(manager.n)}
+    mutual = {var: h - hv for var, hv in cond.items()}
     set_entropy = {}
     for subset in subsets:
         vs = tuple(sorted(set(subset)))

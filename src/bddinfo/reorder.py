@@ -114,11 +114,8 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
 
     def search(roots: list[int]) -> Iterator[TraceStep]:
         for level in range(manager.n):
-            placed = list(manager.order[:level])
-            scored = [(var, sum(measures.conditional_entropy_set(
-                                    manager, root, placed + [var], w)
-                                for root in roots))
-                      for var in sorted(manager.order[level:])]
+            scores = measures._prefix_scores(manager, roots, level, w)
+            scored = [(var, scores[var]) for var in sorted(manager.order[level:])]
             best = min(score for _, score in scored)
             group = [var for var, score in scored if score <= best + _TIE_TOL]
             chosen = min(group)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    BddError, BddManager, NodeLimitError, TruthTable, VarProbabilities,
-    best_order_exhaustive, conditional_entropy_var, enumerate_bdd,
-    exact_measures, info_reorder, sift, window_permute,
+    ONE, BddError, BddManager, NodeLimitError, TruthTable, VarProbabilities,
+    best_order_exhaustive, conditional_entropy_set, conditional_entropy_var,
+    enumerate_bdd, exact_measures, info_reorder, measure_report, sift,
+    window_permute,
 )
 from bddinfo.cli import load_circuit
+from bddinfo.measures import _prefix_scores
 from bddinfo.reorder import _plain_changes
 
 from conftest import (
@@ -97,6 +99,58 @@ def test_level_scores_equal_prefix_set_conditionals(rng):
             exact = exact_measures(table, w, subsets=subsets).set_entropy
             for subset, (_, score) in zip(subsets, step.scores):
                 assert score == pytest.approx(exact[subset], abs=1e-9)
+
+
+def _shared_roots(rng, n):
+    """A manager on a random order whose roots share nodes, including a
+    terminal root and a root listed twice."""
+    order = list(range(n))
+    rng.shuffle(order)
+    m = BddManager(n, order=order)
+    f, g = (m.build_from_truth_vector(random_function(rng, n)) for _ in range(2))
+    return m, [f, g, m.apply("and", f, g), m.apply("xor", f, g), ONE, f]
+
+
+def test_prefix_scores_equal_summed_set_conditionals(rng):
+    """The shared per-level kernel equals, float for float, the per-root
+    sum of H(f | placed prefix + candidate) at every depth, and
+    measure_report's H(f|x) equals conditional_entropy_var."""
+    for trial in range(12):
+        n = rng.randint(1, 6)
+        m, roots = _shared_roots(rng, n)
+        w = None if trial % 2 else VarProbabilities(
+            [(1.0 - p, p) for p in (rng.choice((0.0, 0.25, 0.5, 0.875, 1.0))
+                                    for _ in range(n))])
+        weights = VarProbabilities.uniform(n) if w is None else w
+        order = list(m.order)
+        for depth in range(n):
+            expected = {x: sum(conditional_entropy_set(m, root, order[:depth] + [x], w)
+                               for root in roots)
+                        for x in order[depth:]}
+            assert _prefix_scores(m, roots, depth, weights) == expected
+        for root in roots:
+            report = measure_report(m, root, w)
+            for x in range(n):
+                assert report.cond_entropy[x] == conditional_entropy_var(m, root, x, w)
+
+
+def test_info_reorder_walks_the_graph_once_per_level(rng, monkeypatch):
+    """One sweep on entry plus one shared walk per level: a count, not a
+    timing."""
+    n = 12
+    m = BddManager(n)
+    for _ in range(3):
+        m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+    walks = []
+    reachable = BddManager._reachable
+
+    def counted(self, roots):
+        walks.append(roots)
+        return reachable(self, roots)
+
+    monkeypatch.setattr(BddManager, "_reachable", counted)
+    info_reorder(m)
+    assert len(walks) <= n + 1
 
 
 def test_level0_choice_is_conditional_entropy_argmin(rng):
