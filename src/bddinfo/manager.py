@@ -260,6 +260,38 @@ class BddManager:
         self._cache[key] = r
         return r
 
+    def _mux(self, var: int, lo: int, hi: int) -> int:
+        """Reduced BDD of ``var ? hi : lo``, memoized, for any live ``lo``
+        and ``hi`` wherever ``var`` sits in the order: the one
+        if-then-else kernel of Brace, Rudell & Bryant (DAC 1990) with
+        ``var`` as the condition.  Each recursive call goes at least one
+        level down and none goes below ``var``'s level, so the depth is
+        bounded by the levels above ``var``, not by the size of the
+        graphs."""
+        if lo == hi:
+            return lo
+        level = self._var_level[var]
+        llo = self._ref_level(lo)
+        lhi = self._ref_level(hi)
+        if level < llo and level < lhi:
+            return self._mk(var, lo, hi)
+        key = ("mux", var, lo, hi)
+        found = self._cache.get(key)
+        if found is not None:
+            return found
+        top = min(level, llo, lhi)
+        lo0, lo1 = (self._node[lo][1], self._node[lo][2]) if llo == top else (lo, lo)
+        hi0, hi1 = (self._node[hi][1], self._node[hi][2]) if lhi == top else (hi, hi)
+        if top == level:
+            # var itself is on top: lo answers for var = 0, hi for var = 1.
+            r = lo0 if lo0 == hi1 else self._mk(var, lo0, hi1)
+        else:
+            r0 = self._mux(var, lo0, hi0)
+            r1 = self._mux(var, lo1, hi1)
+            r = r0 if r0 == r1 else self._mk(self._level_var[top], r0, r1)
+        self._cache[key] = r
+        return r
+
     def cofactor(self, a: int, var: int, value: int) -> int:
         """BDD of the restriction with ``var`` pinned to ``value``."""
         self._check(a)
@@ -485,9 +517,12 @@ class BddManager:
         Sharing handles is part of the contract: every handle live at the
         copy names the same function in both managers, and level swaps
         keep it so.  Callers therefore carry root handles over to the copy
-        and compare functions across the two by handle; this is how the
-        reorder check and ``compare`` use it.  Handles made after the copy
-        may coincide between the two and name different functions.
+        and compare functions across the two by handle; ``compare`` does
+        so, and the reorder check rebuilds the reordered roots inside a
+        copy taken on entry and compares the results with the roots'
+        own handles.  Handles made after the copy may coincide between
+        the two and name different functions, but every one of them is
+        above all handles live at the copy.
         """
         m = BddManager(self.n, order=self.order, node_limit=self.node_limit)
         m._base = self._base
@@ -520,28 +555,36 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
     """Rebuild a function from one manager inside another.
 
     Variable ids carry over; the destination's own order is respected,
-    so this also converts between orders.
+    so this also converts between orders.  The source graph is walked
+    iteratively in post-order and each node is rebuilt with one
+    ``dst._mux``; ``_memo`` (source handle -> destination handle) may be
+    shared by calls with the same two managers.
     """
     src._check(ref)
     memo = {} if _memo is None else _memo
-
-    def rec(u: int) -> int:
-        if u == ZERO or u == ONE:
-            return u
-        r = memo.get(u)
-        if r is not None:
-            return r
-        var, lo, hi = src._node[u]
-        l = rec(lo)
-        h = rec(hi)
-        x = dst.literal(var)
-        r = dst.apply(OR,
-                      dst.apply(AND, dst.negate(x), l),
-                      dst.apply(AND, x, h))
-        memo[u] = r
-        return r
-
-    return rec(ref)
+    memo[ZERO] = ZERO
+    memo[ONE] = ONE
+    nodes = src._node
+    mux = dst._mux
+    stack = [ref]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        var, lo, hi = nodes[u]
+        l = memo.get(lo)
+        h = memo.get(hi)
+        if l is not None and h is not None:
+            dst._check_var(var)
+            memo[u] = mux(var, l, h)
+            stack.pop()
+            continue
+        if l is None:
+            stack.append(lo)
+        if h is None:
+            stack.append(hi)
+    return memo[ref]
 
 
 def _coerce_bits(bits) -> list[int]:

@@ -64,7 +64,10 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     _EXHAUSTIVE_CHECK_VARS variables, a ``clone()`` above.  ``search`` is
     called with the explicit roots (default: the registered ones) and
     its steps fill the trace.  Afterwards every registered root must
-    still compute its snapshotted function, or BddError is raised.
+    still compute its snapshotted function, or BddError is raised.  On
+    the clone path the final roots are rebuilt inside the clone, which
+    keeps the initial order, so the check builds nothing in ``manager``;
+    the clone keeps ``manager.node_limit``.
     """
     t0 = time.perf_counter()
     roots = list(manager.registered_roots if roots is None else roots)
@@ -92,8 +95,10 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
                       for r, bits in zip(kept, tables))
     else:
         # The clone shares handles and both managers are canonical, so
-        # an unchanged function is rebuilt as the very same handle.
-        changed = any(copy_function(before, r, manager) != r for r in kept)
+        # an unchanged function is rebuilt as the very same handle; nodes
+        # the rebuild adds get handles above every handle of the clone.
+        memo: dict[int, int] = {}
+        changed = any(copy_function(manager, r, before, memo) != r for r in kept)
     if changed:
         raise BddError("reordering changed a root's function")
     trace.elapsed = time.perf_counter() - t0

@@ -350,12 +350,65 @@ def test_clone_is_independent(example1):
     assert enumerate_bdd(twin, root).to_string() == EXAMPLE1_VECTOR
 
 
+def _reference_copy(src, ref, dst, memo):
+    """copy_function built from public operations: each node becomes
+    (not x and lo) or (x and hi)."""
+    if ref in (ZERO, ONE):
+        return ref
+    if ref not in memo:
+        var, lo, hi = src.node(ref)
+        l = _reference_copy(src, lo, dst, memo)
+        h = _reference_copy(src, hi, dst, memo)
+        x = dst.literal(var)
+        memo[ref] = dst.apply(OR, dst.apply(AND, dst.negate(x), l),
+                              dst.apply(AND, x, h))
+    return memo[ref]
+
+
 def test_copy_function_between_orders():
     src = BddManager(4)
     f = src.build_from_truth_vector("0110100110010110")
     dst = BddManager(4, order=[3, 1, 0, 2])
     g = copy_function(src, f, dst)
     assert enumerate_bdd(src, f).to_string() == enumerate_bdd(dst, g).to_string()
+    with pytest.raises(UsageError):
+        copy_function(src, f, BddManager(3))    # variable 3 is missing there
+
+    rng = random.Random(6)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        src = BddManager(n, order=rng.sample(range(n), n))
+        dst = BddManager(n, order=rng.sample(range(n), n))
+        # A function already in the destination, so copies meet old nodes.
+        dst.build_from_truth_vector(random_function(rng, n))
+        roots = [src.build_from_truth_vector(random_function(rng, n))
+                 for _ in range(3)] + [ZERO, src.literal(rng.randrange(n), 0)]
+        memo, ref_memo = {}, {}
+        for f in roots:
+            g = copy_function(src, f, dst, memo)
+            assert g == _reference_copy(src, f, dst, ref_memo)
+            assert enumerate_bdd(dst, g).bits == enumerate_bdd(src, f).bits
+        # The kernel on its own, with arguments that may test var too.
+        var = rng.randrange(n)
+        x = dst.literal(var)
+        lo, hi = (dst.build_from_truth_vector(random_function(rng, n))
+                  for _ in range(2))
+        assert dst._mux(var, lo, hi) == dst.apply(
+            OR, dst.apply(AND, dst.negate(x), lo), dst.apply(AND, x, hi))
+        assert_manager_consistent(dst)
+
+
+def test_copy_function_does_not_recurse_over_the_source():
+    n = 2000
+    src = BddManager(n)
+    f = ONE
+    for v in reversed(range(n)):
+        f = src.mk_node(v, ZERO, f)         # x0 and x1 and ... and x1999
+    dst = BddManager(n)
+    g = copy_function(src, f, dst)
+    assert dst.count_nodes([g]) == n
+    assert dst.evaluate(g, [1] * n) == ONE
+    assert dst.evaluate(g, [1] * (n - 1) + [0]) == ZERO
 
 
 def test_evaluate(example1):

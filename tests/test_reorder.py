@@ -262,13 +262,41 @@ def test_plain_changes_visit_every_arrangement(k):
 
 @pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
 def test_sizes_count_every_registered_root(rng, method):
-    m = BddManager(5)
-    m.register_root(m.build_from_truth_vector(random_function(rng, 5)))
-    a = m.build_from_truth_vector(random_function(rng, 5))
-    trace = method(m, roots=[a])
-    assert a in m.registered_roots
-    assert trace.final_size == m.shared_size() == len(m)
-    assert trace.final_size > m.count_nodes([a])
+    """Sizes are shared counts, and the final check leaves no garbage
+    behind, on the truth-table path (n = 5) and the clone path (n = 12)."""
+    for n in (5, 12):
+        m = BddManager(n)
+        m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+        a = m.build_from_truth_vector(random_function(rng, n))
+        trace = method(m, roots=[a])
+        assert a in m.registered_roots
+        assert trace.final_size == m.shared_size() == len(m)
+        assert trace.final_size > m.count_nodes([a])
+
+
+def test_a_reorder_that_fits_the_node_limit_passes_its_check():
+    """The clone-path check builds in the snapshot, not in the caller's
+    manager, so a reorder that fits ``node_limit`` is not failed by it."""
+    k = 8
+    m = BddManager(2 * k)       # blocked order: a0..a7, then b0..b7
+    carry = None
+    for i in range(k):
+        a, b = m.literal(i), m.literal(k + i)
+        half = m.apply("xor", a, b)
+        if carry is None:
+            m.register_root(half)
+            carry = m.apply("and", a, b)
+        else:
+            m.register_root(m.apply("xor", half, carry))
+            carry = m.apply("or", m.apply("and", a, b),
+                            m.apply("and", half, carry))
+    m.register_root(carry)
+    m.collect_garbage()
+    assert len(m) == 1521
+    m.node_limit = 3 * len(m)
+    trace = info_reorder(m)
+    assert trace.final_size == len(m) == 65
+    assert_manager_consistent(m)
 
 
 def test_sift_under_node_limit_leaves_manager_intact():
