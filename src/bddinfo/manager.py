@@ -94,6 +94,7 @@ class BddManager:
             {} for _ in range(n)]
         self._cache: dict[tuple, int] = {}         # apply/negate/cofactor memo
         self._roots: list[int] = []
+        self._swaps = 0                            # level swaps made so far
         self.node_limit = node_limit
 
     def __len__(self) -> int:
@@ -426,10 +427,12 @@ class BddManager:
 
         Every node keeps its handle and its function; only nodes at the
         two affected levels are rewritten or created, and nodes at the
-        lower level that lose their last reference are retired.  Raises
-        NodeLimitError, before changing anything, when the worst case
-        (two new nodes per node at ``level``) would pass ``node_limit``.
-        Operation caches are invalidated.
+        lower level that lose their last reference are retired.  The
+        upper variable's nodes are rewritten in handle order, so the
+        handles a swap creates do not depend on the order its table was
+        filled in.  Raises NodeLimitError, before changing anything,
+        when the worst case (two new nodes per node at ``level``) would
+        pass ``node_limit``.  Operation caches are invalidated.
         """
         if not 0 <= level < self.n - 1:
             raise UsageError(f"level {level} out of range for swapping")
@@ -437,57 +440,90 @@ class BddManager:
         y = self._level_var[level + 1]
         xtable = self._unique[x]
         ytable = self._unique[y]
+        nodes = self._node
         if self.node_limit is not None and \
-                len(self._node) + 2 * len(xtable) > self.node_limit:
+                len(nodes) + 2 * len(xtable) > self.node_limit:
             raise NodeLimitError(
                 f"node limit {self.node_limit} could be passed by a level swap")
-        nodes = self._node
+        self._swaps += 1
         refs = self._refs
-        add = self._add
+        base = self._base
+        mask = _SLOT
+        node_at = nodes.get
+        x_at = xtable.get
         self._level_var[level] = y
         self._level_var[level + 1] = x
         self._var_level[x] = level + 1
         self._var_level[y] = level
         orphans = []
         # Every x node is rewritten, referenced or not, so both tables
-        # stay canonical; handle order makes the new handles independent
-        # of the order the table was filled in.
+        # stay canonical.
         for u in sorted(xtable.values()):
             key = nodes[u]
             _, f0, f1 = key
-            t0 = nodes.get(f0)
-            t1 = nodes.get(f1)
+            t0 = node_at(f0)
+            t1 = node_at(f1)
             y0 = t0 is not None and t0[0] == y
             y1 = t1 is not None and t1[0] == y
             if not (y0 or y1):
                 continue  # independent of y: keeps its label one level down
             del xtable[key]
-            f00, f01 = (t0[1], t0[2]) if y0 else (f0, f0)
-            f10, f11 = (t1[1], t1[2]) if y1 else (f1, f1)
-            # mk_node without its checks: the children are live and lie
-            # below both levels, and the limit was checked above.
-            k0 = (x, f00, f10)
-            k1 = (x, f01, f11)
-            g0 = f00 if f00 == f10 else xtable.get(k0) or add(k0)
-            g1 = f01 if f01 == f11 else xtable.get(k1) or add(k1)
+            if y0:
+                f00, f01 = t0[1], t0[2]
+            else:
+                f00 = f01 = f0
+            if y1:
+                f10, f11 = t1[1], t1[2]
+            else:
+                f10 = f11 = f1
+            # _mk without its checks, and _add inlined: the children are
+            # live and lie below both levels, and the limit was checked.
+            if f00 == f10:
+                g0 = f00
+            else:
+                k0 = (x, f00, f10)
+                g0 = x_at(k0)
+                if g0 is None:
+                    g0 = base + len(refs)
+                    refs.append(0)
+                    refs[f00 & mask] += 1
+                    refs[f10 & mask] += 1
+                    nodes[g0] = k0
+                    xtable[k0] = g0
+            if f01 == f11:
+                g1 = f01
+            else:
+                k1 = (x, f01, f11)
+                g1 = x_at(k1)
+                if g1 is None:
+                    g1 = base + len(refs)
+                    refs.append(0)
+                    refs[f01 & mask] += 1
+                    refs[f11 & mask] += 1
+                    nodes[g1] = k1
+                    xtable[k1] = g1
             if g0 == g1:
                 raise AssertionError("swap lost a dependence on the lower variable")
             key = (y, g0, g1)
             nodes[u] = key
             ytable[key] = u
-            refs[g0 & _SLOT] += 1
-            refs[g1 & _SLOT] += 1
-            for f, was_y in ((f0, y0), (f1, y1)):
-                refs[f & _SLOT] -= 1
-                if was_y and not refs[f & _SLOT]:
-                    orphans.append(f)
+            refs[g0 & mask] += 1
+            refs[g1 & mask] += 1
+            slot = f0 & mask
+            refs[slot] -= 1
+            if y0 and not refs[slot]:
+                orphans.append(f0)
+            slot = f1 & mask
+            refs[slot] -= 1
+            if y1 and not refs[slot]:
+                orphans.append(f1)
         # An orphaned y node's children stay referenced by the x node or
         # the rewritten node that took them over, so retiring stops here.
         for f in orphans:
             key = nodes.pop(f)
             del ytable[key]
-            refs[key[1] & _SLOT] -= 1
-            refs[key[2] & _SLOT] -= 1
+            refs[key[1] & mask] -= 1
+            refs[key[2] & mask] -= 1
         self._cache.clear()
 
     def set_order(self, order: Sequence[int]) -> None:

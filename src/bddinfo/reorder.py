@@ -53,6 +53,7 @@ class ReorderTrace:
     final_size: int
     steps: list[TraceStep] = field(default_factory=list)
     elapsed: float = 0.0
+    swaps: int = 0          # adjacent level swaps made by the run
 
 
 def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
@@ -87,7 +88,9 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
                          final_order=[],
                          initial_size=len(manager),
                          final_size=0)
+    swaps = manager._swaps
     trace.steps.extend(search(roots))
+    trace.swaps = manager._swaps - swaps
     trace.final_order = list(manager.order)
     trace.final_size = len(manager)
     if tabulate:
@@ -136,26 +139,44 @@ def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrac
     park it where the shared node count is smallest.  Variables are
     processed by decreasing node population; the total size never ends
     up above its starting value.  ``roots`` (default: the registered
-    roots) are registered; sizes count every registered root."""
+    roots) are registered; sizes count every registered root.
+
+    A variable first moves towards the nearer end, then towards the
+    other one, and stops moving in a direction once an exact lower
+    bound reaches the best size seen (Drechsler & Guenther, DAC 1999).
+    While it moves up, the levels below it keep their nodes (moving
+    down, the levels above), and each variable on the levels it can
+    still reach keeps at least one node if a root depends on it; the
+    tables hold only live nodes, since the driver sweeps on entry and
+    swaps retire what they orphan.  No skipped position could be
+    strictly smaller, and ties never move the parked position, so the
+    result and every step are those of the full sweep."""
 
     def search(roots: list[int]) -> Iterator[TraceStep]:
         n = manager.n
-        population = [len(table) for table in manager._unique]
+        unique = manager._unique
+        population = [len(table) for table in unique]
         priority = sorted(range(n), key=lambda var: (-population[var], var))
         for var in priority:
-            start = manager.level_of_var(var)
+            pos = manager.level_of_var(var)
             best_size = len(manager)
-            best_pos = start
-            if start <= n - 1 - start:
-                sweep = list(range(start - 1, -1, -1)) + list(range(1, n))
-            else:
-                sweep = list(range(start + 1, n)) + list(range(n - 2, -1, -1))
-            for pos in sweep:
-                manager.move_var(var, pos)      # one adjacent swap
-                size = len(manager)
-                if size < best_size:
-                    best_size = size
-                    best_pos = pos
+            best_pos = pos
+            for step in (-1, 1) if pos <= n - 1 - pos else (1, -1):
+                while 0 <= pos + step < n:
+                    # Lower bound on every size further this way: levels
+                    # out of reach keep their nodes, and each variable in
+                    # reach keeps one if it has any.
+                    order = manager.order
+                    reach = order[:pos + 1] if step < 0 else order[pos:]
+                    excess = sum(len(unique[v]) - 1 for v in reach if unique[v])
+                    if len(manager) - excess >= best_size:
+                        break
+                    pos += step
+                    manager.move_var(var, pos)      # one adjacent swap
+                    size = len(manager)
+                    if size < best_size:
+                        best_size = size
+                        best_pos = pos
             manager.move_var(var, best_pos)
             yield TraceStep(level=best_pos, scores=[(var, float(best_size))],
                             chosen=var, tie=False, size_after=len(manager))
@@ -173,7 +194,15 @@ def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
     Each window visits its k! arrangements by k!-1 adjacent swaps
     (Steinhaus-Johnson-Trotter).  The first smallest arrangement in
     ``itertools.permutations(sorted(group))`` order is kept if it is
-    strictly smaller than the current one."""
+    strictly smaller than the current one.
+
+    A window is skipped when the set of variables above it and its own
+    arrangement are those an earlier visit left it in.  A level's node
+    count depends only on its variable and the set of variables above
+    it, so each arrangement again differs from the current one by the
+    same amount as on that visit, where none was smaller than the one
+    it left.  The current arrangement wins ties, so the visit would
+    change nothing: skipping it changes no result and no step."""
     if window not in (2, 3, 4):
         raise ValueError(f"window must be 2, 3 or 4, got {window}")
     if window > manager.n:
@@ -181,12 +210,17 @@ def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
 
     def search(roots: list[int]) -> Iterator[TraceStep]:
         walk = _plain_changes(window)
+        settled: set[tuple[frozenset[int], tuple[int, ...]]] = set()
         improved = True
         while improved:
             improved = False
             for start in range(0, manager.n - window + 1):
-                current = [manager.var_at_level(start + i) for i in range(window)]
-                base_perm = tuple(current)
+                order = manager.order
+                base_perm = order[start:start + window]
+                above = frozenset(order[:start])
+                if (above, base_perm) in settled:
+                    continue
+                current = list(base_perm)
                 sizes = {base_perm: len(manager)}
                 for offset in walk:
                     manager.swap_adjacent_levels(start + offset)
@@ -198,6 +232,7 @@ def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
                            key=sizes.__getitem__)
                 for offset, var in enumerate(best):
                     manager.move_var(var, start + offset)
+                settled.add((above, best))
                 if best != base_perm:
                     improved = True
                     yield TraceStep(level=start, scores=[], chosen=None,

@@ -10,6 +10,7 @@ from bddinfo import (
     BddManager, InputError, ManagerMismatchError, NodeLimitError,
     OrderingError, UsageError, copy_function, enumerate_bdd,
 )
+from bddinfo.manager import _SLOT
 
 from conftest import EXAMPLE1_VECTOR, assert_manager_consistent, random_function
 
@@ -270,6 +271,80 @@ def test_swap_storm_keeps_unique_table_canonical(rng):
             assert len(m) == m.shared_size()
         assert enumerate_bdd(m, root).to_string() == vec
         assert m.build_from_truth_vector(vec) == root   # same handle
+
+
+def _reference_swap(m, level):
+    """The level swap as written before its loop was inlined: the same
+    walk through the upper table in handle order, interning through
+    ``_add``."""
+    x = m._level_var[level]
+    y = m._level_var[level + 1]
+    xtable = m._unique[x]
+    ytable = m._unique[y]
+    nodes = m._node
+    refs = m._refs
+    add = m._add
+    m._level_var[level] = y
+    m._level_var[level + 1] = x
+    m._var_level[x] = level + 1
+    m._var_level[y] = level
+    orphans = []
+    for u in sorted(xtable.values()):
+        key = nodes[u]
+        _, f0, f1 = key
+        t0 = nodes.get(f0)
+        t1 = nodes.get(f1)
+        y0 = t0 is not None and t0[0] == y
+        y1 = t1 is not None and t1[0] == y
+        if not (y0 or y1):
+            continue
+        del xtable[key]
+        f00, f01 = (t0[1], t0[2]) if y0 else (f0, f0)
+        f10, f11 = (t1[1], t1[2]) if y1 else (f1, f1)
+        k0 = (x, f00, f10)
+        k1 = (x, f01, f11)
+        g0 = f00 if f00 == f10 else xtable.get(k0) or add(k0)
+        g1 = f01 if f01 == f11 else xtable.get(k1) or add(k1)
+        assert g0 != g1
+        key = (y, g0, g1)
+        nodes[u] = key
+        ytable[key] = u
+        refs[g0 & _SLOT] += 1
+        refs[g1 & _SLOT] += 1
+        for f, was_y in ((f0, y0), (f1, y1)):
+            refs[f & _SLOT] -= 1
+            if was_y and not refs[f & _SLOT]:
+                orphans.append(f)
+    for f in orphans:
+        key = nodes.pop(f)
+        del ytable[key]
+        refs[key[1] & _SLOT] -= 1
+        refs[key[2] & _SLOT] -= 1
+    m._cache.clear()
+
+
+def test_swap_kernel_matches_reference_swap(rng):
+    """After every swap of a random storm, the node store, the tables,
+    the reference counts and the order equal those of the reference
+    swap run on a clone, garbage included."""
+    for trial in range(30):
+        n = rng.randint(2, 8)
+        m = BddManager(n)
+        for _ in range(rng.randint(1, 4)):
+            m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+        m.build_from_truth_vector(random_function(rng, n))   # unregistered
+        if trial % 2:
+            m.collect_garbage()
+        ref = m.clone()
+        for _ in range(60):
+            level = rng.randrange(n - 1)
+            m.swap_adjacent_levels(level)
+            _reference_swap(ref, level)
+            assert m._node == ref._node
+            assert m._unique == ref._unique
+            assert m._refs == ref._refs
+            assert m.order == ref.order
+            assert_manager_consistent(m)
 
 
 def test_stale_handles_raise_or_keep_their_function():

@@ -13,7 +13,7 @@ from bddinfo import (
 )
 from bddinfo.cli import load_circuit
 from bddinfo.measures import _prefix_scores
-from bddinfo.reorder import _plain_changes
+from bddinfo.reorder import TraceStep, _plain_changes, _run
 
 from conftest import (
     DATA, EXAMPLE1_VECTOR, assert_manager_consistent, random_function,
@@ -182,6 +182,84 @@ def test_sift_never_increases(rng):
         assert enumerate_bdd(manager, root).to_string() == vector
 
 
+def _sift_reference(manager):
+    """Sifting with every variable swept through every level, the loop
+    ``sift`` had before its lower-bound cutoff, run by the same driver."""
+
+    def search(roots):
+        n = manager.n
+        population = [len(table) for table in manager._unique]
+        priority = sorted(range(n), key=lambda var: (-population[var], var))
+        for var in priority:
+            start = manager.level_of_var(var)
+            best_size = len(manager)
+            best_pos = start
+            if start <= n - 1 - start:
+                sweep = list(range(start - 1, -1, -1)) + list(range(1, n))
+            else:
+                sweep = list(range(start + 1, n)) + list(range(n - 2, -1, -1))
+            for pos in sweep:
+                manager.move_var(var, pos)
+                size = len(manager)
+                if size < best_size:
+                    best_size = size
+                    best_pos = pos
+            manager.move_var(var, best_pos)
+            yield TraceStep(level=best_pos, scores=[(var, float(best_size))],
+                            chosen=var, tie=False, size_after=len(manager))
+
+    return _run("sift", manager, None, search)
+
+
+def _random_roots(rng, n, count):
+    m = BddManager(n)
+    for _ in range(count):
+        m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+    return m
+
+
+def _count_swaps(monkeypatch):
+    """Wrap the level swap; the returned list grows by one per swap."""
+    calls = []
+    swap = BddManager.swap_adjacent_levels
+
+    def counted(self, level):
+        calls.append(level)
+        swap(self, level)
+
+    monkeypatch.setattr(BddManager, "swap_adjacent_levels", counted)
+    return calls
+
+
+def test_sift_cutoff_matches_full_sweep(rng):
+    """The lower-bound cutoff changes no order, size or step."""
+    managers = []
+    for n in range(4, 9):
+        for count in (1, 3, 1, 3):
+            managers.append(_random_roots(rng, n, count))
+    for name in ("c17.blif", "s27.blif"):
+        managers.append(load_circuit(str(DATA / name)).manager)
+    for m in managers:
+        expected = _sift_reference(m.clone())
+        trace = sift(m)
+        assert trace.final_order == expected.final_order
+        assert trace.initial_size == expected.initial_size
+        assert trace.final_size == expected.final_size
+        assert [repr(step) for step in trace.steps] == \
+            [repr(step) for step in expected.steps]
+        assert_manager_consistent(m)
+
+
+def test_sift_cutoff_skips_swaps(monkeypatch):
+    m = load_circuit(str(DATA / "s27.blif")).manager
+    calls = _count_swaps(monkeypatch)
+    _sift_reference(m.clone())
+    full = len(calls)
+    calls.clear()
+    sift(m)
+    assert len(calls) < full
+
+
 def test_window_equals_exhaustive_when_window_covers_everything(rng):
     for _ in range(10):
         vector = random_function(rng, 3)
@@ -245,6 +323,44 @@ def test_window_walk_matches_reference_loop(rng):
         assert trace.final_size == size
         assert [(s.level, s.size_after) for s in trace.steps] == steps
         assert_manager_consistent(manager)
+
+
+def _full_pass_swaps(steps, n, window):
+    """A lower bound on the swaps of a window search that walks every
+    window on every pass: an improving pass lists its steps by rising
+    start, and the last pass improves nothing."""
+    passes = 1 + bool(steps) + sum(b.level <= a.level for a, b in zip(steps, steps[1:]))
+    return passes * (n - window + 1) * (math.factorial(window) - 1)
+
+
+@pytest.mark.parametrize("window", [2, 3, 4])
+def test_window_skip_matches_reference_loop(rng, window):
+    """Skipping settled windows changes no order, size or step, on
+    managers with three roots."""
+    for _ in range(12):
+        m = _random_roots(rng, rng.randint(window, 7), 3)
+        reference = m.clone()
+        trace = window_permute(m, window=window)
+        order, size, steps = _window_reference(reference, window)
+        assert trace.final_order == order
+        assert trace.final_size == size
+        assert [(s.level, s.size_after) for s in trace.steps] == steps
+        assert_manager_consistent(m)
+
+
+def test_window_skip_skips_swaps(monkeypatch):
+    m = load_circuit(str(DATA / "s27.blif")).manager
+    calls = _count_swaps(monkeypatch)
+    trace = window_permute(m, window=3)
+    assert len(calls) < _full_pass_swaps(trace.steps, m.n, 3)
+
+
+@pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
+def test_trace_counts_the_swaps(rng, monkeypatch, method):
+    m = _random_roots(rng, 6, 3)
+    calls = _count_swaps(monkeypatch)
+    trace = method(m)
+    assert trace.swaps == len(calls) > 0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
