@@ -408,10 +408,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, sys.stdout)
-    except (netlist_mod.NetlistError, InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BddError as exc:
+    except (netlist_mod.NetlistError, InputError, OSError, BddError,
+            oracle_mod.OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:

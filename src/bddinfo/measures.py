@@ -11,18 +11,20 @@ variable's pair to (1, 0) or (0, 1) yields conditional probabilities.
 The top-down pass assigns every node the probability mass of the
 root-to-node paths, and the pair of passes gives every per-variable
 joint and conditional probability of the function in one sweep.
-H(f|S) branches on the variables of S at the top of the order with the
-top-down pass and runs one forced bottom-up pass per assignment to the
-k others, 2^k passes in all.
 
-Entropy-guided reordering scores a whole level at once: for the placed
-prefix and every candidate x below it, ``_prefix_scores`` sums
-H(f | prefix, x) over the roots from one walk of their shared graph.
-Each root pushes its mass through the prefix once, one unforced
-bottom-up pass below the prefix serves every root and candidate, and a
-candidate on level L re-runs only the levels between the prefix and L,
-once per forced value.  ``measure_report`` takes every H(f|x) from the
-same kernel with an empty prefix.
+Every conditional entropy H(f|S) comes from one kernel,
+``_conditioned``, which answers a list of queries for a list of roots
+from one walk of their shared graph.  The variables of S on the top
+run of levels are branched on by pushing each root's path mass down
+through those levels; the pushes are made once, shallowest first, each
+extending the last.  One unforced bottom-up pass serves every query,
+and each assignment to the k other variables of S is one forced pass
+that recomputes only the levels down to the deepest of them, 2^k passes
+in all.  ``conditional_entropy_var`` and ``conditional_entropy_set``
+ask one query; ``measure_report`` asks H(f), every H(f|x) and every
+subset in one call, and takes p(f=1) from the same unforced pass;
+entropy-guided reordering asks H(f | placed prefix, x) for every
+candidate x of a level in one call over all roots.
 
 Both passes are loops, not recursions, and measures build no nodes:
 they work under any node_limit and leave len(manager) unchanged.
@@ -144,6 +146,8 @@ class MeasureReport:
 def _check_weights(manager: BddManager, w: VarProbabilities | None) -> VarProbabilities:
     if w is None:
         return VarProbabilities.uniform(manager.n)
+    if not isinstance(w, VarProbabilities):
+        raise WeightError(f"weights must be VarProbabilities, got {type(w).__name__}")
     if len(w) != manager.n:
         raise WeightError(
             f"weights cover {len(w)} variables, manager has {manager.n}")
@@ -268,11 +272,6 @@ def entropy(manager: BddManager, root: int,
     return _binary_entropy(weighted_sat_probability(manager, root, w))
 
 
-def _frontier(reach: dict[int, float], order: list[int]) -> list[tuple[int, float]]:
-    """(node, path mass) for each node of ``order`` that the mass reached."""
-    return [(u, reach[u]) for u in order if u in reach]
-
-
 def _force(pairs: Sequence[tuple[float, float]],
            assignment: Iterable[tuple[int, int]]) -> tuple[float, list[tuple[float, float]]]:
     """The weight of a partial assignment of (variable, value), and
@@ -285,85 +284,70 @@ def _force(pairs: Sequence[tuple[float, float]],
     return weight, forced
 
 
-def _entropy_sum(frontier: list[tuple[int, float]],
-                 passes: Iterable[tuple[float, dict[int, float]]]) -> float:
-    """One root's conditional entropy: over the bottom-up ``passes``
-    (assignment weight, node probabilities), then over its ``frontier``,
-    the sum of mass * weight * H(node)."""
-    total = 0.0
-    for weight, sat in passes:
-        for u, mass in frontier:
-            total += mass * weight * _binary_entropy(sat[u])
-    return total
-
-
-def _conditional_entropy(manager: BddManager, root: int, given: set[int],
-                         w: VarProbabilities, order: list[int]) -> float:
-    """H(f|given) in bits, the one conditioning routine, over the root's
-    graph as ``_levelled`` sorts it (``order``).
-
-    Given variables on the top levels are branched on by pushing path
-    mass down through those levels.  Every assignment to the others is
-    one bottom-up pass, with their weight pairs forced, over the nodes
-    the mass lands on and everything below them.
-    """
-    nodes, pairs = manager._node, w._pairs
-    level, level_var = manager._var_level, manager._level_var
+def _query(manager: BddManager, given: set[int]) -> tuple[int, tuple[int, ...]]:
+    """The set ``given`` as a conditioning query (depth, rest): its top
+    run of levels 0..depth-1, and its other variables by id."""
+    level_var = manager._level_var
     depth = 0
     while depth < manager.n and level_var[depth] in given:
         depth += 1
-    rest = sorted(given.difference(level_var[:depth]))
-    split = bisect.bisect_left(order, depth, key=lambda u: level[nodes[u][0]])
-    reach = _top_down(manager, {root: 1.0}, order[:split], pairs)
-    below = order[split:]
-
-    def passes():
-        for bits in itertools.product((0, 1), repeat=len(rest)):
-            weight, forced = _force(pairs, zip(rest, bits))
-            yield weight, _bottom_up(manager, below, forced)
-
-    return _entropy_sum(_frontier(reach, below), passes())
+    return depth, tuple(sorted(given.difference(level_var[:depth])))
 
 
-def _prefix_scores(manager: BddManager, roots: Sequence[int], depth: int,
-                   w: VarProbabilities) -> dict[int, float]:
-    """For every variable x on a level >= ``depth``, the sum over ``roots``
-    (in order, duplicates counted) of H(f | variables on levels < depth,
-    and x): float for float what summing ``_conditional_entropy`` over
-    the roots gives, from one walk of their shared graph.
+def _conditioned(manager: BddManager, roots: Sequence[int],
+                 queries: Sequence[tuple[int, tuple[int, ...]]],
+                 w: VarProbabilities) -> tuple[list[float], dict[int, float]]:
+    """For each query (depth, rest), the sum over ``roots`` (in order,
+    duplicates counted) of H(f | the variables on levels < depth, and
+    ``rest``), from one walk of the roots' shared graph.  Also returns
+    the unforced node probabilities of every level from the shallowest
+    query depth down.
 
-    Each root pushes its mass through the prefix once, and one unforced
-    bottom-up pass below the prefix serves every root.  The variable on
-    level ``depth`` only extends the prefix by its level.  A variable on
-    a deeper level L is forced both ways, and its two passes recompute
-    levels depth..L only: the nodes below L never test it.
+    Each root's path mass is pushed down through the levels once, in
+    place, and its frontier (the nodes the mass reaches) is kept at
+    every query depth.  One unforced bottom-up pass serves every query.
+    Each assignment to the k variables of ``rest`` is one forced pass
+    over a copy of it, recomputing only the levels from ``depth`` down
+    to the deepest of them: the nodes below never test them.  With
+    k = 0 the unforced values serve as they are.
     """
-    nodes, pairs = manager._node, w._pairs
-    level, level_var = manager._var_level, manager._level_var
+    nodes, pairs, level = manager._node, w._pairs, manager._var_level
     order = _levelled(manager, roots)
     levels = [level[nodes[u][0]] for u in order]
     start = [bisect.bisect_left(levels, at) for at in range(manager.n + 1)]
-    above, below = order[:start[depth]], order[start[depth]:]
-    reaches = [_top_down(manager, {root: 1.0}, above, pairs) for root in roots]
-    sat = _bottom_up(manager, below, pairs)
-    scores = {}
-    if depth < manager.n:
-        top = order[start[depth]:start[depth + 1]]
-        deeper = order[start[depth + 1]:]
-        scores[level_var[depth]] = sum(
-            _entropy_sum(_frontier(_top_down(manager, dict(reach), top, pairs), deeper),
-                         [(1.0, sat)])
-            for reach in reaches)
-    frontiers = [_frontier(reach, below) for reach in reaches]
-    for at in range(depth + 1, manager.n):
-        var = level_var[at]
-        part = order[start[depth]:start[at + 1]]
-        passes = []
-        for value in (0, 1):
-            weight, forced = _force(pairs, [(var, value)])
-            passes.append((weight, _bottom_up(manager, part, forced, dict(sat))))
-        scores[var] = sum(_entropy_sum(frontier, passes) for frontier in frontiers)
-    return scores
+    depths = sorted({depth for depth, _ in queries})
+    reaches = [{root: 1.0} for root in roots]
+    frontiers = {}
+    pushed = 0
+    for depth in depths:
+        part, below = order[start[pushed]:start[depth]], order[start[depth]:]
+        for reach in reaches:
+            _top_down(manager, reach, part, pairs)
+        frontiers[depth] = [[(u, reach[u]) for u in below if u in reach]
+                            for reach in reaches]
+        pushed = depth
+    sat = _bottom_up(manager, order[start[depths[0]]:], pairs)
+
+    def passes(depth, rest):
+        if not rest:
+            yield 1.0, sat
+            return
+        part = order[start[depth]:start[max(level[v] for v in rest) + 1]]
+        for bits in itertools.product((0, 1), repeat=len(rest)):
+            weight, forced = _force(pairs, zip(rest, bits))
+            yield weight, _bottom_up(manager, part, forced, dict(sat))
+
+    values = []
+    for depth, rest in queries:
+        totals = [0.0] * len(roots)
+        for weight, probs in passes(depth, rest):
+            for i, frontier in enumerate(frontiers[depth]):
+                total = totals[i]
+                for u, mass in frontier:
+                    total += mass * weight * _binary_entropy(probs[u])
+                totals[i] = total
+        values.append(sum(totals))
+    return values, sat
 
 
 def conditional_entropy_var(manager: BddManager, root: int, var: int,
@@ -371,8 +355,8 @@ def conditional_entropy_var(manager: BddManager, root: int, var: int,
     """H(f|x) in bits: the weight-averaged entropies of f with x fixed."""
     manager._check(root)
     manager._check_var(var)
-    return _conditional_entropy(manager, root, {var}, _check_weights(manager, w),
-                                _levelled(manager, (root,)))
+    w = _check_weights(manager, w)
+    return _conditioned(manager, (root,), [_query(manager, {var})], w)[0][0]
 
 
 def conditional_entropy_set(manager: BddManager, root: int,
@@ -384,7 +368,7 @@ def conditional_entropy_set(manager: BddManager, root: int,
     given = set(variables)
     for var in given:
         manager._check_var(var)
-    return _conditional_entropy(manager, root, given, w, _levelled(manager, (root,)))
+    return _conditioned(manager, (root,), [_query(manager, given)], w)[0][0]
 
 
 def mutual_information(manager: BddManager, root: int, var: int,
@@ -397,22 +381,20 @@ def mutual_information(manager: BddManager, root: int, var: int,
 def measure_report(manager: BddManager, root: int,
                    w: VarProbabilities | None = None,
                    subsets: Iterable[Iterable[int]] = ()) -> MeasureReport:
-    """Full entropy report for one output.  Every H(f|x) comes from one
-    ``_prefix_scores`` call; the probability and the subsets share one
-    more walk of the root's graph."""
+    """Full entropy report for one output, from one ``_conditioned``
+    call: H(f) as H(f | no variables), every H(f|x), every subset, and
+    the probability from the same unforced pass."""
     manager._check(root)
     w = _check_weights(manager, w)
-    order = _levelled(manager, (root,))
-    sat = _bottom_up(manager, order, w._pairs)[root]
-    h = _binary_entropy(sat)
-    scores = _prefix_scores(manager, (root,), 0, w)
-    cond = {var: scores[var] for var in range(manager.n)}
+    keys = list(dict.fromkeys(tuple(sorted(set(subset))) for subset in subsets))
+    for var in itertools.chain.from_iterable(keys):
+        manager._check_var(var)
+    given = [(), *((var,) for var in range(manager.n)), *keys]
+    values, sat = _conditioned(manager, (root,),
+                               [_query(manager, set(vs)) for vs in given], w)
+    h = values[0]
+    cond = dict(enumerate(values[1:manager.n + 1]))
     mutual = {var: h - hv for var, hv in cond.items()}
-    set_entropy = {}
-    for subset in subsets:
-        vs = tuple(sorted(set(subset)))
-        for var in vs:
-            manager._check_var(var)
-        set_entropy[vs] = _conditional_entropy(manager, root, set(vs), w, order)
-    return MeasureReport(sat=sat, entropy=h, cond_entropy=cond,
+    set_entropy = dict(zip(keys, values[manager.n + 1:]))
+    return MeasureReport(sat=sat[root], entropy=h, cond_entropy=cond,
                          mutual_info=mutual, set_entropy=set_entropy)

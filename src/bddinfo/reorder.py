@@ -122,8 +122,14 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
 
     def search(roots: list[int]) -> Iterator[TraceStep]:
         for level in range(manager.n):
-            scores = measures._prefix_scores(manager, roots, level, w)
-            scored = [(var, scores[var]) for var in sorted(manager.order[level:])]
+            # H(f | placed prefix, x): the prefix plus x is a top run of
+            # levels when x sits on ``level``, else x is forced below it.
+            candidates = sorted(manager.order[level:])
+            top = manager.var_at_level(level)
+            queries = [(level + 1, ()) if var == top else (level, (var,))
+                       for var in candidates]
+            values, _ = measures._conditioned(manager, roots, queries, w)
+            scored = list(zip(candidates, values))
             best = min(score for _, score in scored)
             group = [var for var, score in scored if score <= best + _TIE_TOL]
             chosen = min(group)

@@ -10,7 +10,8 @@ EXAMPLE1 = str(DATA / "example1.blif")
 EXAMPLE1_PLA = str(DATA / "example1.pla")
 C17 = str(DATA / "c17.blif")
 GOLDEN = DATA / "golden"
-GOLDEN_RUNS = [(("compare", "--format", "csv"), "compare_{}.csv")] + [
+GOLDEN_RUNS = [(("compare", "--format", "csv"), "compare_{}.csv"),
+               (("measures", "--format", "csv"), "measures_{}.csv")] + [
     (("reorder", "--method", method, "--trace", "--format", "json"),
      f"reorder_{{}}_{method}.json") for method in ("info", "sift", "window")]
 
@@ -184,6 +185,18 @@ def test_oracle_check_max_n_guard(capsys):
     code, _, err = run(capsys, "oracle-check", C17, "--max-n", "3")
     assert code == 1
     assert "inputs" in err
+
+
+def test_oracle_check_above_the_enumeration_limit(tmp_path, capsys):
+    from bddinfo.oracle import MAX_ENUM_VARS
+    n = MAX_ENUM_VARS + 1
+    wide = tmp_path / "wide.blif"
+    wide.write_text(f".model wide\n.inputs {' '.join(f'a{i}' for i in range(n))}\n"
+                    ".outputs y\n.names a0 a1 y\n11 1\n.end\n")
+    code, out, err = run(capsys, "oracle-check", str(wide), "--max-n", str(n + 5))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_errors(capsys):

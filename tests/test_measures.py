@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from bddinfo import (
     ONE, ZERO, BddManager, VarProbabilities, WeightError,
     all_joint_probabilities, conditional_entropy_set, conditional_entropy_var,
-    entropy, measure_report, mutual_information, reach_probabilities,
-    weighted_sat_probability,
+    entropy, enumerate_bdd, exact_measures, info_reorder, measure_report,
+    mutual_information, reach_probabilities, weighted_sat_probability,
 )
 
 from bddinfo.cli import load_circuit
@@ -33,6 +33,15 @@ def test_weights_length_checked(example1):
     manager, root = example1
     with pytest.raises(WeightError):
         weighted_sat_probability(manager, root, VarProbabilities.uniform(2))
+
+
+def test_weights_must_be_var_probabilities(example1):
+    manager, root = example1
+    pairs = [(0.5, 0.5)] * manager.n
+    with pytest.raises(WeightError):
+        entropy(manager, root, pairs)
+    with pytest.raises(WeightError):
+        info_reorder(manager, weights=pairs)
 
 
 def test_sat_probability_example1(example1):
@@ -175,6 +184,42 @@ def test_measure_report(example1):
     assert report.set_entropy[(0, 1)] == pytest.approx(0.25, abs=TOL)
     assert report.mutual_info[2] == pytest.approx(H_F - H_F_X2, abs=TOL)
     assert report.sat == pytest.approx(0.625, abs=0)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_measure_report_on_tiny_managers(n):
+    """Terminal and literal roots, where no query conditions on level 0."""
+    m = BddManager(n)
+    roots = [ZERO, ONE]
+    if n:
+        roots += [m.mk_node(0, ZERO, ONE), m.mk_node(0, ONE, ZERO)]
+    subsets = ((), (0,)) if n else ((),)
+    for w in (None, VarProbabilities([(0.25, 0.75)] * n)):
+        for root in roots:
+            report = measure_report(m, root, w, subsets=subsets)
+            exact = exact_measures(enumerate_bdd(m, root), w, subsets=subsets)
+            assert report.sat == pytest.approx(exact.sat, abs=TOL)
+            assert report.entropy == pytest.approx(exact.entropy, abs=TOL)
+            assert report.cond_entropy == pytest.approx(exact.cond_entropy, abs=TOL)
+            assert report.mutual_info == pytest.approx(exact.mutual_info, abs=TOL)
+            assert report.set_entropy == pytest.approx(exact.set_entropy, abs=TOL)
+
+
+def test_measure_report_walks_the_graph_once(monkeypatch):
+    """Every value of a report comes from one walk of the root's graph."""
+    circuit = load_circuit(str(DATA / "s27.blif"))
+    walks = []
+    reachable = BddManager._reachable
+
+    def counted(self, roots):
+        walks.append(roots)
+        return reachable(self, roots)
+
+    monkeypatch.setattr(BddManager, "_reachable", counted)
+    for _, root in circuit.outputs:
+        walks.clear()
+        measure_report(circuit.manager, root, subsets=[(0, 2), (1, 3)])
+        assert len(walks) == 1
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())

@@ -12,7 +12,7 @@ from bddinfo import (
     window_permute,
 )
 from bddinfo.cli import load_circuit
-from bddinfo.measures import _prefix_scores
+from bddinfo.measures import _conditioned
 from bddinfo.reorder import TraceStep, _plain_changes, _run
 
 from conftest import (
@@ -111,10 +111,12 @@ def _shared_roots(rng, n):
     return m, [f, g, m.apply("and", f, g), m.apply("xor", f, g), ONE, f]
 
 
-def test_prefix_scores_equal_summed_set_conditionals(rng):
-    """The shared per-level kernel equals, float for float, the per-root
+def test_conditioned_equals_summed_set_conditionals(rng):
+    """The one conditioning kernel equals, float for float, the per-root
     sum of H(f | placed prefix + candidate) at every depth, and
-    measure_report's H(f|x) equals conditional_entropy_var."""
+    measure_report's H(f|x) and subset values equal the single-query
+    functions, for subsets in the top run of levels, deeper only, mixed,
+    empty and repeated."""
     for trial in range(12):
         n = rng.randint(1, 6)
         m, roots = _shared_roots(rng, n)
@@ -124,14 +126,21 @@ def test_prefix_scores_equal_summed_set_conditionals(rng):
         weights = VarProbabilities.uniform(n) if w is None else w
         order = list(m.order)
         for depth in range(n):
-            expected = {x: sum(conditional_entropy_set(m, root, order[:depth] + [x], w)
-                               for root in roots)
-                        for x in order[depth:]}
-            assert _prefix_scores(m, roots, depth, weights) == expected
+            queries = [(depth + 1, ()) if x == order[depth] else (depth, (x,))
+                       for x in order[depth:]]
+            expected = [sum(conditional_entropy_set(m, root, order[:depth] + [x], w)
+                            for root in roots)
+                        for x in order[depth:]]
+            assert _conditioned(m, roots, queries, weights)[0] == expected
+        subsets = [order[:2], order[1:], order[:1] + order[2:4], [],
+                   order[-1:] * 2, order[:2], rng.sample(range(n), rng.randint(0, n))]
         for root in roots:
-            report = measure_report(m, root, w)
+            report = measure_report(m, root, w, subsets=subsets)
             for x in range(n):
                 assert report.cond_entropy[x] == conditional_entropy_var(m, root, x, w)
+            for subset in subsets:
+                assert report.set_entropy[tuple(sorted(set(subset)))] == \
+                    conditional_entropy_set(m, root, subset, w)
 
 
 def test_info_reorder_walks_the_graph_once_per_level(rng, monkeypatch):
