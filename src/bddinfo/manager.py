@@ -5,9 +5,12 @@ child, high child), so structurally equal functions always share one
 handle.  Handles are plain integers: 0 and 1 are the terminals,
 everything else is an internal node owned by exactly one manager.  Each
 handle has a reference count (parent nodes plus root registrations).
-The variable order is a permutation between levels and variable ids;
-adjacent levels can be swapped in place, touching only the two tables
-involved, which is the substrate for all reordering algorithms.
+One memoized if-then-else kernel, ``_ite``, builds every AND, OR, XOR
+and complement, and every node ``copy_function`` cannot intern
+directly.  The variable order is a permutation between levels and
+variable ids; adjacent levels can be swapped in place, touching only the
+two tables involved, which is the substrate for all reordering
+algorithms.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class BddManager:
         # var -> {(var, lo, hi): id}; the keys are the tuples in _node.
         self._unique: list[dict[tuple[int, int, int], int]] = [
             {} for _ in range(n)]
-        self._cache: dict[tuple, int] = {}         # apply/negate/cofactor memo
+        self._cache: dict[tuple, int] = {}         # _ite/_cofactor memo
         self._roots: list[int] = []
         self._swaps = 0                            # level swaps made so far
         self.node_limit = node_limit
@@ -192,106 +195,60 @@ class BddManager:
             raise UsageError(f"unknown operator {op!r}")
         self._check(a)
         self._check(b)
-        return self._apply(op, a, b)
-
-    def _apply(self, op: str, a: int, b: int) -> int:
         if op == AND:
-            if a == ZERO or b == ZERO:
-                return ZERO
-            if a == ONE:
-                return b
-            if b == ONE:
-                return a
-            if a == b:
-                return a
-        elif op == OR:
-            if a == ONE or b == ONE:
-                return ONE
-            if a == ZERO:
-                return b
-            if b == ZERO:
-                return a
-            if a == b:
-                return a
-        else:  # XOR
-            if a == b:
-                return ZERO
-            if a == ZERO:
-                return b
-            if b == ZERO:
-                return a
-            if a == ONE:
-                return self._negate(b)
-            if b == ONE:
-                return self._negate(a)
-        if a > b:
-            a, b = b, a
-        key = (op, a, b)
+            return self._ite(a, b, ZERO)
+        if op == OR:
+            return self._ite(a, ONE, b)
+        return self._ite(a, self._ite(b, ZERO, ONE), b)
+
+    def _ite(self, f: int, g: int, h: int) -> int:
+        """Reduced BDD of ``f ? g : h`` for live handles, memoized: the
+        if-then-else kernel of Brace, Rudell & Bryant (DAC 1990) behind
+        AND, OR, XOR, NOT and ``copy_function``.  It splits the three
+        operands on the top variable among them and recurses on the two
+        halves, low first; each call goes at least one level down, so
+        the depth is bounded by the number of levels."""
+        if f == ONE:
+            return g
+        if f == ZERO:
+            return h
+        if g == f:
+            g = ONE
+        if h == f:
+            h = ZERO
+        if g == h:
+            return g
+        if g == ONE:
+            if h == ZERO:
+                return f
+            if f > h:               # f or h: one cache entry per pair
+                f, h = h, f
+        elif h == ZERO and f > g:   # f and g
+            f, g = g, f
+        key = (f, g, h)
         found = self._cache.get(key)
         if found is not None:
             return found
-        la = self._ref_level(a)
-        lb = self._ref_level(b)
-        level = min(la, lb)
-        var = self._level_var[level]
-        a0, a1 = (self._node[a][1], self._node[a][2]) if la == level else (a, a)
-        b0, b1 = (self._node[b][1], self._node[b][2]) if lb == level else (b, b)
-        r0 = self._apply(op, a0, b0)
-        r1 = self._apply(op, a1, b1)
-        r = r0 if r0 == r1 else self._mk(var, r0, r1)
+        nodes = self._node
+        level = self._var_level
+        tf, tg, th = nodes[f], nodes.get(g), nodes.get(h)
+        lf = level[tf[0]]
+        lg = self.n if tg is None else level[tg[0]]
+        lh = self.n if th is None else level[th[0]]
+        top = min(lf, lg, lh)
+        _, f0, f1 = tf if lf == top else (0, f, f)
+        _, g0, g1 = tg if lg == top else (0, g, g)
+        _, h0, h1 = th if lh == top else (0, h, h)
+        r0 = self._ite(f0, g0, h0)
+        r1 = self._ite(f1, g1, h1)
+        r = r0 if r0 == r1 else self._mk(self._level_var[top], r0, r1)
         self._cache[key] = r
         return r
 
     def negate(self, a: int) -> int:
         """Reduced BDD of the complement (no complement edges are used)."""
         self._check(a)
-        return self._negate(a)
-
-    def _negate(self, a: int) -> int:
-        if a == ZERO:
-            return ONE
-        if a == ONE:
-            return ZERO
-        key = ("not", a)
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        var, lo, hi = self._node[a]
-        r = self._mk(var, self._negate(lo), self._negate(hi))
-        self._cache[key] = r
-        return r
-
-    def _mux(self, var: int, lo: int, hi: int) -> int:
-        """Reduced BDD of ``var ? hi : lo``, memoized, for any live ``lo``
-        and ``hi`` wherever ``var`` sits in the order: the one
-        if-then-else kernel of Brace, Rudell & Bryant (DAC 1990) with
-        ``var`` as the condition.  Each recursive call goes at least one
-        level down and none goes below ``var``'s level, so the depth is
-        bounded by the levels above ``var``, not by the size of the
-        graphs."""
-        if lo == hi:
-            return lo
-        level = self._var_level[var]
-        llo = self._ref_level(lo)
-        lhi = self._ref_level(hi)
-        if level < llo and level < lhi:
-            return self._mk(var, lo, hi)
-        key = ("mux", var, lo, hi)
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        top = min(level, llo, lhi)
-        lo0, lo1 = (self._node[lo][1], self._node[lo][2]) if llo == top else (lo, lo)
-        hi0, hi1 = (self._node[hi][1], self._node[hi][2]) if lhi == top else (hi, hi)
-        if top == level:
-            # var itself is on top: lo answers for var = 0, hi for var = 1.
-            r = lo0 if lo0 == hi1 else self._mk(var, lo0, hi1)
-        else:
-            r0 = self._mux(var, lo0, hi0)
-            r1 = self._mux(var, lo1, hi1)
-            r = r0 if r0 == r1 else self._mk(self._level_var[top], r0, r1)
-        self._cache[key] = r
-        return r
+        return self._ite(a, ZERO, ONE)
 
     def cofactor(self, a: int, var: int, value: int) -> int:
         """BDD of the restriction with ``var`` pinned to ``value``."""
@@ -592,16 +549,19 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
 
     Variable ids carry over; the destination's own order is respected,
     so this also converts between orders.  The source graph is walked
-    iteratively in post-order and each node is rebuilt with one
-    ``dst._mux``; ``_memo`` (source handle -> destination handle) may be
-    shared by calls with the same two managers.
+    iteratively in post-order.  A node whose variable lies above both
+    rebuilt children in the destination is interned directly; any other
+    is rebuilt with one ``dst._ite(literal, hi, lo)``.  ``_memo`` (source
+    handle -> destination handle) may be shared by calls with the same
+    two managers.
     """
     src._check(ref)
     memo = {} if _memo is None else _memo
     memo[ZERO] = ZERO
     memo[ONE] = ONE
     nodes = src._node
-    mux = dst._mux
+    level = dst._ref_level
+    mk = dst._mk
     stack = [ref]
     while stack:
         u = stack[-1]
@@ -613,7 +573,11 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
         h = memo.get(hi)
         if l is not None and h is not None:
             dst._check_var(var)
-            memo[u] = mux(var, l, h)
+            top = dst._var_level[var]
+            if top < level(l) and top < level(h):
+                memo[u] = mk(var, l, h)
+            else:
+                memo[u] = dst._ite(mk(var, ZERO, ONE), h, l)
             stack.pop()
             continue
         if l is None:

@@ -106,10 +106,12 @@ class VarProbabilities:
 
     def forced(self, var: int, value: int) -> "VarProbabilities":
         """Copy with ``var`` pinned to ``value`` (weight pair (0,1) or (1,0))."""
+        if not isinstance(var, int) or not 0 <= var < len(self._pairs):
+            raise WeightError(f"unknown variable {var!r}")
         if value not in (0, 1):
             raise WeightError(f"value must be 0 or 1, got {value!r}")
         pairs = list(self._pairs)
-        pairs[var] = (0.0, 1.0) if value else (1.0, 0.0)
+        pairs[var] = _FORCED[value]
         return VarProbabilities(pairs)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bddinfo import (
     AND, ONE, OR, XOR, ZERO,
     BddManager, InputError, ManagerMismatchError, NodeLimitError,
-    OrderingError, UsageError, copy_function, enumerate_bdd,
+    OrderingError, TruthTable, UsageError, copy_function, enumerate_bdd,
 )
 from bddinfo.manager import _SLOT
 
@@ -85,6 +85,35 @@ def test_negate_involution(example1):
     assert manager.negate(ZERO) == ONE
     assert manager.negate(ONE) == ZERO
     assert manager.negate(manager.negate(root)) == root
+
+
+@given(st.integers(min_value=0, max_value=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_ite_matches_truth_table_operations(n, data):
+    """The if-then-else kernel and the operators built on it against bit
+    operations on truth tables, under a random order, with terminal,
+    literal and repeated operands.  Each result must be the handle that
+    building its truth vector gives, so canonicity is checked too."""
+    m = BddManager(n, order=data.draw(st.permutations(range(n))))
+    full = (1 << (1 << n)) - 1
+    pool = [ZERO, ONE]
+    if n:
+        pool.append(m.literal(data.draw(st.integers(0, n - 1))))
+    for _ in range(3):
+        bits = data.draw(st.integers(min_value=0, max_value=full))
+        pool.append(m.build_from_truth_vector(format(bits, f"0{1 << n}b")))
+    f, g, h = (data.draw(st.sampled_from(pool)) for _ in range(3))
+    F, G, H = (enumerate_bdd(m, u).bits for u in (f, g, h))
+
+    def built(bits):
+        return m.build_from_truth_vector(TruthTable(n, bits).to_string())
+
+    assert m._ite(f, g, h) == built((F & G) | (~F & H & full))
+    assert m.apply(AND, f, g) == built(F & G)
+    assert m.apply(OR, f, g) == built(F | G)
+    assert m.apply(XOR, f, g) == built(F ^ G)
+    assert m.negate(f) == built(F ^ full)
+    assert_manager_consistent(m)
 
 
 def test_cofactor_example1(example1):
@@ -468,7 +497,7 @@ def test_copy_function_between_orders():
         x = dst.literal(var)
         lo, hi = (dst.build_from_truth_vector(random_function(rng, n))
                   for _ in range(2))
-        assert dst._mux(var, lo, hi) == dst.apply(
+        assert dst._ite(x, hi, lo) == dst.apply(
             OR, dst.apply(AND, dst.negate(x), lo), dst.apply(AND, x, hi))
         assert_manager_consistent(dst)
 

@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    ONE, ZERO, BddManager, VarProbabilities, WeightError,
+    AND, ONE, OR, XOR, ZERO, BddManager, VarProbabilities, WeightError,
     all_joint_probabilities, conditional_entropy_set, conditional_entropy_var,
     entropy, enumerate_bdd, exact_measures, info_reorder, measure_report,
     mutual_information, reach_probabilities, weighted_sat_probability,
@@ -27,6 +28,13 @@ def test_weights_validation():
     assert w.pair(1) == (0.5, 0.5)
     assert w.forced(1, 0).pair(1) == (1.0, 0.0)
     assert w.forced(1, 1).pair(1) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("var", [-1, 3])
+def test_forced_rejects_unknown_variables(var):
+    """-1 would pin the last variable and 3 would raise IndexError."""
+    with pytest.raises(WeightError):
+        VarProbabilities.uniform(3).forced(var, 1)
 
 
 def test_weights_length_checked(example1):
@@ -203,6 +211,33 @@ def test_measure_report_on_tiny_managers(n):
             assert report.cond_entropy == pytest.approx(exact.cond_entropy, abs=TOL)
             assert report.mutual_info == pytest.approx(exact.mutual_info, abs=TOL)
             assert report.set_entropy == pytest.approx(exact.set_entropy, abs=TOL)
+
+
+def test_wide_measures_match_oracle():
+    """16 inputs, above the 12 where the benchmark stops comparing with
+    the oracle: H(f), every H(f|x) and the entropies given 2- and
+    3-variable subsets that mix the top variable with deep ones, on
+    outputs built with apply under a scrambled order."""
+    n = 16
+    m = BddManager(n, order=random.Random(16).sample(range(n), n))
+    x = [m.literal(v) for v in range(n)]
+    carry, parity = ZERO, ZERO
+    for a, b in zip(x[:8], x[8:]):          # carry out of a + b, 8 bits each
+        half = m.apply(XOR, a, b)
+        carry = m.apply(OR, m.apply(AND, a, b), m.apply(AND, carry, half))
+        parity = m.apply(XOR, parity, m.apply(AND, a, m.negate(b)))
+    roots = [carry, parity, m.apply(OR, carry, m.apply(AND, x[3], parity))]
+    top, mid = m.var_at_level(0), m.var_at_level(n // 2)
+    deep, deeper = m.var_at_level(n - 2), m.var_at_level(n - 1)
+    subsets = tuple(tuple(sorted(s)) for s in
+                    ((top, deeper), (top, deep, deeper), (top, mid, deeper)))
+    for root in roots:
+        report = measure_report(m, root, subsets=subsets)
+        exact = exact_measures(enumerate_bdd(m, root), subsets=subsets)
+        assert 0 < exact.entropy
+        assert report.entropy == pytest.approx(exact.entropy, abs=TOL)
+        assert report.cond_entropy == pytest.approx(exact.cond_entropy, abs=TOL)
+        assert report.set_entropy == pytest.approx(exact.set_entropy, abs=TOL)
 
 
 def test_measure_report_walks_the_graph_once(monkeypatch):
