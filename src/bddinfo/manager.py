@@ -7,10 +7,10 @@ everything else is an internal node owned by exactly one manager.  Each
 handle has a reference count (parent nodes plus root registrations).
 One memoized if-then-else kernel, ``_ite``, builds every AND, OR, XOR
 and complement, and every node ``copy_function`` cannot intern
-directly.  The variable order is a permutation between levels and
-variable ids; adjacent levels can be swapped in place, touching only the
-two tables involved, which is the substrate for all reordering
-algorithms.
+directly; it is the only routine here that recurses.  The variable
+order is a permutation between levels and variable ids; adjacent levels
+can be swapped in place, touching only the two tables involved, which
+is the substrate for all reordering algorithms.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class BddManager:
         # var -> {(var, lo, hi): id}; the keys are the tuples in _node.
         self._unique: list[dict[tuple[int, int, int], int]] = [
             {} for _ in range(n)]
-        self._cache: dict[tuple, int] = {}         # _ite/_cofactor memo
+        self._cache: dict[tuple, int] = {}         # _ite memo
         self._roots: list[int] = []
         self._swaps = 0                            # level swaps made so far
         self.node_limit = node_limit
@@ -251,36 +251,24 @@ class BddManager:
         return self._ite(a, ZERO, ONE)
 
     def cofactor(self, a: int, var: int, value: int) -> int:
-        """BDD of the restriction with ``var`` pinned to ``value``."""
+        """BDD of the restriction with ``var`` pinned to ``value``: each
+        node testing ``var`` maps to its chosen child, and
+        ``copy_function`` rebuilds the rest from that memo, iteratively."""
         self._check(a)
         self._check_var(var)
         if value not in (0, 1):
             raise UsageError(f"value must be 0 or 1, got {value!r}")
-        return self._cofactor(a, self._var_level[var], var, value)
-
-    def _cofactor(self, a: int, target_level: int, var: int, value: int) -> int:
-        la = self._ref_level(a)
-        if la > target_level:
-            return a
-        v, lo, hi = self._node[a]
-        if la == target_level:
-            return hi if value else lo
-        key = ("co", a, var, value)
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        r0 = self._cofactor(lo, target_level, var, value)
-        r1 = self._cofactor(hi, target_level, var, value)
-        r = r0 if r0 == r1 else self._mk(v, r0, r1)
-        self._cache[key] = r
-        return r
+        memo = {u: key[2 if value else 1]
+                for key, u in self._unique[var].items()}
+        return copy_function(self, a, self, memo)
 
     def build_from_truth_vector(self, bits) -> int:
         """Build the function whose truth vector is ``bits``.
 
         ``bits`` is a string over '01' or a sequence of 0/1 of length 2**n.
         Index i is read as the assignment (x1, ..., xn) given by the binary
-        digits of i with x1 (variable 0) most significant.
+        digits of i with x1 (variable 0) most significant.  The entries,
+        already terminals, are folded into nodes level by level, bottom up.
         """
         vec = _coerce_bits(bits)
         length = len(vec)
@@ -291,23 +279,16 @@ class BddManager:
         if length != 1 << self.n:
             raise InputError(
                 f"truth vector length {length} does not match {self.n} variables")
-        return self._from_vec(vec, 0, list(range(self.n)))
-
-    def _from_vec(self, vec: list[int], level: int, rem: list[int]) -> int:
-        if level == self.n:
-            return ONE if vec[0] else ZERO
-        var = self._level_var[level]
-        r = rem.index(var)
-        stride = 1 << (len(rem) - 1 - r)
-        lo: list[int] = []
-        hi: list[int] = []
-        for base in range(0, len(vec), stride * 2):
-            lo.extend(vec[base:base + stride])
-            hi.extend(vec[base + stride:base + stride * 2])
-        nrem = rem[:r] + rem[r + 1:]
-        l = self._from_vec(lo, level + 1, nrem)
-        h = self._from_vec(hi, level + 1, nrem)
-        return l if l == h else self._mk(var, l, h)
+        rem = list(range(self.n))      # variables of vec, most significant first
+        for var in reversed(self._level_var):
+            r = rem.index(var)
+            del rem[r]
+            stride = 1 << (len(rem) - r)
+            vec = [lo if lo == hi else self._mk(var, lo, hi)
+                   for base in range(0, len(vec), stride * 2)
+                   for lo, hi in zip(vec[base:base + stride],
+                                     vec[base + stride:base + stride * 2])]
+        return vec[0]
 
     def evaluate(self, root: int, assignment: Sequence[int]) -> int:
         """Evaluate at an assignment indexed by variable id."""
@@ -553,7 +534,8 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
     rebuilt children in the destination is interned directly; any other
     is rebuilt with one ``dst._ite(literal, hi, lo)``.  ``_memo`` (source
     handle -> destination handle) may be shared by calls with the same
-    two managers.
+    two managers.  Within one manager (``BddManager.cofactor``) the two
+    rebuilt children can be equal; the node then reduces to its child.
     """
     src._check(ref)
     memo = {} if _memo is None else _memo
@@ -574,7 +556,9 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
         if l is not None and h is not None:
             dst._check_var(var)
             top = dst._var_level[var]
-            if top < level(l) and top < level(h):
+            if l == h:
+                memo[u] = l
+            elif top < level(l) and top < level(h):
                 memo[u] = mk(var, l, h)
             else:
                 memo[u] = dst._ite(mk(var, ZERO, ONE), h, l)

@@ -375,9 +375,13 @@ def conditional_entropy_set(manager: BddManager, root: int,
 
 def mutual_information(manager: BddManager, root: int, var: int,
                        w: VarProbabilities | None = None) -> float:
-    """I(f;x) = H(f) - H(f|x) in bits."""
+    """I(f;x) = H(f) - H(f|x) in bits, from one ``_conditioned`` call."""
     w = _check_weights(manager, w)
-    return entropy(manager, root, w) - conditional_entropy_var(manager, root, var, w)
+    manager._check(root)
+    manager._check_var(var)
+    (h, hv), _ = _conditioned(manager, (root,),
+                              [(0, ()), _query(manager, {var})], w)
+    return h - hv
 
 
 def measure_report(manager: BddManager, root: int,

@@ -237,7 +237,11 @@ def _int_argument(tokens: list[str], number: int) -> int:
 
 def _validate(netlist: Netlist) -> None:
     """Check signal definitions, reject cycles, topo-sort the gates."""
-    available = set(netlist.cut_inputs)
+    available: set[str] = set()
+    for sig in netlist.cut_inputs:
+        if sig in available:
+            raise ParseError(f"input {sig!r} declared twice")
+        available.add(sig)
     defined: dict[str, Gate] = {}
     for gate in netlist.gates:
         if gate.output in defined or gate.output in available:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -274,12 +275,15 @@ def test_cli_determinism(tmp_path):
         ["oracle-check", EXAMPLE1_BLIF],
         ["oracle-check", C17_BLIF],
     ]
+    root = pathlib.Path(__file__).parent.parent
+    # The child process does not inherit pytest's pythonpath setting.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     for argv in commands:
         outputs = []
         for _ in range(2):
             proc = subprocess.run([sys.executable, "-m", "bddinfo"] + argv,
-                                  capture_output=True,
-                                  cwd=pathlib.Path(__file__).parent.parent)
+                                  capture_output=True, cwd=root, env=env)
             outputs.append((proc.returncode, proc.stdout))
         if outputs[0] != outputs[1]:
             failures.append(f"{' '.join(argv)}: outputs differ")

@@ -137,6 +137,43 @@ def test_cofactor_trivia(example1):
         manager.cofactor(root, 0, 2)
 
 
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cofactor_matches_truth_table_restriction(n, data):
+    """Every cofactor is the handle of its truth-table restriction, for
+    terminal roots, every variable (the root's own among them) and
+    variables outside the support, under any order."""
+    m = BddManager(n, order=data.draw(st.permutations(range(n))))
+    size = 1 << n
+    vec = format(data.draw(st.integers(0, (1 << size) - 1)), f"0{size}b")
+    f = m.build_from_truth_vector(vec)
+    for var in range(n):
+        bit = 1 << (n - 1 - var)            # var's digit in a vector index
+        free = "".join(vec[i & ~bit] for i in range(size))
+        g = m.build_from_truth_vector(free)
+        for value in (0, 1):
+            assert m.cofactor(ZERO, var, value) == ZERO
+            assert m.cofactor(ONE, var, value) == ONE
+            assert m.cofactor(g, var, value) == g
+            want = "".join(vec[i | bit if value else i & ~bit]
+                           for i in range(size))
+            assert m.cofactor(f, var, value) == m.build_from_truth_vector(want)
+    assert not m._cache                     # no if-then-else was needed
+    assert_manager_consistent(m)
+
+
+def test_cofactor_does_not_recurse():
+    n = 2000
+    m = BddManager(n)
+    f = ONE
+    for v in reversed(range(n)):
+        f = m.mk_node(v, ZERO, f)           # x0 and x1 and ... and x1999
+    g = m.cofactor(f, n - 1, 1)
+    assert m.count_nodes([g]) == n - 1
+    assert m.evaluate(g, [1] * (n - 1) + [0]) == ONE
+    assert m.cofactor(f, n - 1, 0) == ZERO
+
+
 def test_truth_vector_constants():
     m = BddManager(3)
     assert m.build_from_truth_vector("0" * 8) == ZERO
@@ -174,14 +211,16 @@ def test_size_bound_and_support():
     assert m.count_nodes([f]) <= (1 << 4) - 1
 
 
-@given(st.integers(min_value=1, max_value=5), st.data())
+@given(st.integers(min_value=1, max_value=6), st.data())
 @settings(max_examples=60, deadline=None)
 def test_truth_vector_roundtrip(n, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
     vec = format(bits, f"0{1 << n}b")
-    m = BddManager(n)
+    m = BddManager(n, order=data.draw(st.permutations(range(n))))
     root = m.build_from_truth_vector(vec)
     assert enumerate_bdd(m, root).to_string() == vec
+    assert len(m) == m.count_nodes([root])  # no node outside the function
+    assert_manager_consistent(m)
 
 
 @given(st.integers(min_value=2, max_value=5), st.data())

@@ -240,21 +240,44 @@ def test_wide_measures_match_oracle():
         assert report.set_entropy == pytest.approx(exact.set_entropy, abs=TOL)
 
 
-def test_measure_report_walks_the_graph_once(monkeypatch):
-    """Every value of a report comes from one walk of the root's graph."""
-    circuit = load_circuit(str(DATA / "s27.blif"))
-    walks = []
+@pytest.fixture
+def walks(monkeypatch):
+    """The roots of every graph walk (``BddManager._reachable`` call)."""
+    seen = []
     reachable = BddManager._reachable
 
     def counted(self, roots):
-        walks.append(roots)
+        seen.append(roots)
         return reachable(self, roots)
 
     monkeypatch.setattr(BddManager, "_reachable", counted)
+    return seen
+
+
+def test_measure_report_walks_the_graph_once(walks):
+    """Every value of a report comes from one walk of the root's graph."""
+    circuit = load_circuit(str(DATA / "s27.blif"))
     for _, root in circuit.outputs:
         walks.clear()
         measure_report(circuit.manager, root, subsets=[(0, 2), (1, 3)])
         assert len(walks) == 1
+
+
+def test_mutual_information_walks_the_graph_once(walks):
+    """I(f;x) takes H(f) and H(f|x) from one walk, with the same values
+    as the two separate calls."""
+    circuit = load_circuit(str(DATA / "s27.blif"))
+    m = circuit.manager
+    skewed = VarProbabilities([(1 - p, p) for p in (0.3, 0.5, 0.9, 0.25,
+                                                    0.6, 0.1, 0.75)[:m.n]])
+    for w in (None, skewed):
+        for _, root in [*circuit.outputs, ("one", ONE)]:
+            for var in range(m.n):
+                walks.clear()
+                mi = mutual_information(m, root, var, w)
+                assert len(walks) == 1
+                assert mi == entropy(m, root, w) - \
+                    conditional_entropy_var(m, root, var, w)
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())

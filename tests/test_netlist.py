@@ -239,6 +239,8 @@ def test_feedback_through_latch_is_not_a_cycle():
     ".model m\n.inputs a\n.outputs a\n.names a a\n1 1\n.end\n",  # redefines input
     ".model m\n.end\nstray\n",          # content after .end
     ".model m\n.inputs a\n.outputs y\n.names a y\n- -\n.end\n",  # bad out char
+    ".model m\n.inputs a b a\n.outputs y\n.names a b y\n11 1\n.end\n",  # input twice
+    ".model m\n.inputs a\n.outputs y\n.latch y a\n.names a y\n1 1\n.end\n",  # latch on input
 ])
 def test_malformed_blif_raises_netlist_errors(text):
     from bddinfo import NetlistError
@@ -250,6 +252,7 @@ def test_malformed_blif_raises_netlist_errors(text):
     ".i x\n.o 1\n00 1\n",                # non-integer header
     ".i\n.o 1\n",                        # missing count
     ".i -1\n.o 1\n",                     # negative count
+    ".i 2\n.o 1\n.ilb a a\n11 1\n",      # input named twice
 ])
 def test_malformed_pla_raises_netlist_errors(text):
     from bddinfo import NetlistError
