@@ -520,7 +520,9 @@ class BddManager:
                 f"handle {ref!r} does not belong to this manager")
 
     def _check_var(self, var: int) -> None:
-        if not isinstance(var, int) or not 0 <= var < self.n:
+        # bool is an int subclass: True would silently mean variable 1.
+        if not isinstance(var, int) or isinstance(var, bool) \
+                or not 0 <= var < self.n:
             raise UsageError(f"unknown variable {var!r}")
 
 

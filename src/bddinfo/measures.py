@@ -1,7 +1,7 @@
 """Probabilities and Shannon information measures evaluated on BDDs.
 
-Every measure is a composition of two weighted passes over the
-level-sorted graph.  The bottom-up pass evaluates
+Every measure is built from weighted passes over the level-sorted
+graph.  The bottom-up pass evaluates
 
     p(node) = p(x=0) * p(low child) + p(x=1) * p(high child)
 
@@ -17,16 +17,24 @@ Every conditional entropy H(f|S) comes from one kernel,
 from one walk of their shared graph.  The variables of S on the top
 run of levels are branched on by pushing each root's path mass down
 through those levels; the pushes are made once, shallowest first, each
-extending the last.  One unforced bottom-up pass serves every query,
-and each assignment to the k other variables of S is one forced pass
-that recomputes only the levels down to the deepest of them, 2^k passes
-in all.  ``conditional_entropy_var`` and ``conditional_entropy_set``
-ask one query; ``measure_report`` asks H(f), every H(f|x) and every
-subset in one call, and takes p(f=1) from the same unforced pass;
-entropy-guided reordering asks H(f | placed prefix, x) for every
-candidate x of a level in one call over all roots.
+extending the last.  One unforced bottom-up pass serves every query.
+A single variable x below that run is read off a slope: p(node) is
+linear in x's pair, so with D = dp(node)/dp(x=1),
 
-Both passes are loops, not recursions, and measures build no nodes:
+    p(f=1 | x=1) = p(node) + p(x=0) * D,  p(f=1 | x=0) = p(node) - p(x=1) * D,
+
+and one top-down pass per depth, carrying the path mass of every node
+the roots' mass reaches there, gives D for every such node and every
+variable at once.  Each assignment to k >= 2 other variables of S is
+one forced pass that recomputes only the levels down to the deepest of
+them, 2^k passes in all.  ``conditional_entropy_var`` and
+``conditional_entropy_set`` ask one query; ``measure_report`` asks
+H(f), every H(f|x) and every subset in one call, and takes p(f=1) from
+the same unforced pass; entropy-guided reordering asks
+H(f | placed prefix, x) for every candidate x of a level in one call
+over all roots.
+
+All passes are loops, not recursions, and measures build no nodes:
 they work under any node_limit and leave len(manager) unchanged.
 
 Entropies are bits (base-2 logarithms), with 0 * log 0 taken as 0.
@@ -106,7 +114,8 @@ class VarProbabilities:
 
     def forced(self, var: int, value: int) -> "VarProbabilities":
         """Copy with ``var`` pinned to ``value`` (weight pair (0,1) or (1,0))."""
-        if not isinstance(var, int) or not 0 <= var < len(self._pairs):
+        if not isinstance(var, int) or isinstance(var, bool) \
+                or not 0 <= var < len(self._pairs):
             raise WeightError(f"unknown variable {var!r}")
         if value not in (0, 1):
             raise WeightError(f"value must be 0 or 1, got {value!r}")
@@ -296,25 +305,66 @@ def _query(manager: BddManager, given: set[int]) -> tuple[int, tuple[int, ...]]:
     return depth, tuple(sorted(given.difference(level_var[:depth])))
 
 
+def _slopes(manager: BddManager, order: list[int], sat: dict[int, float],
+            pairs: Sequence[tuple[float, float]],
+            frontier: Iterable[int]) -> dict[int, dict[int, float]]:
+    """For every ``frontier`` node u, D_u[var] = dp(u)/dp(var=1) for the
+    variables tested in the level-sorted ``order``, from one top-down
+    pass that carries the path mass of every frontier node at once.
+
+    A node v testing var adds mass(u -> v) * (p(hi) - p(lo)) to D_u[var]:
+    p(u) is linear in var's pair, and no other node depends on it.
+    Variables u cannot reach get no entry.
+    """
+    nodes = manager._node
+    carried = {u: {u: 1.0} for u in frontier}
+    slopes: dict[int, dict[int, float]] = {}
+    for v in order:
+        masses = carried.pop(v, None)
+        if masses is None:
+            continue
+        var, lo, hi = nodes[v]
+        p0, p1 = pairs[var]
+        step = sat[hi] - sat[lo]
+        slope = slopes.setdefault(var, {})
+        to_lo = carried.setdefault(lo, {})
+        to_hi = carried.setdefault(hi, {})
+        for u, mass in masses.items():
+            slope[u] = slope.get(u, 0.0) + mass * step
+            to_lo[u] = to_lo.get(u, 0.0) + mass * p0
+            to_hi[u] = to_hi.get(u, 0.0) + mass * p1
+    return slopes
+
+
 def _conditioned(manager: BddManager, roots: Sequence[int],
                  queries: Sequence[tuple[int, tuple[int, ...]]],
-                 w: VarProbabilities) -> tuple[list[float], dict[int, float]]:
+                 w: VarProbabilities, order: list[int] | None = None,
+                 ) -> tuple[list[float], dict[int, float]]:
     """For each query (depth, rest), the sum over ``roots`` (in order,
     duplicates counted) of H(f | the variables on levels < depth, and
-    ``rest``), from one walk of the roots' shared graph.  Also returns
-    the unforced node probabilities of every level from the shallowest
-    query depth down.
+    ``rest``), over one level order of the roots' shared graph.  Also
+    returns the unforced node probabilities of every level from the
+    shallowest query depth down.
+
+    ``order`` lists the nodes level by level, ties by handle; it must
+    hold every node the roots reach, and nodes they do not reach carry
+    no mass, so they change no value.  By default it is the roots' own,
+    from one walk.
 
     Each root's path mass is pushed down through the levels once, in
     place, and its frontier (the nodes the mass reaches) is kept at
     every query depth.  One unforced bottom-up pass serves every query.
-    Each assignment to the k variables of ``rest`` is one forced pass
-    over a copy of it, recomputing only the levels from ``depth`` down
-    to the deepest of them: the nodes below never test them.  With
+    With one variable x in ``rest``, each frontier node u reads D_u[x]
+    from one slope pass per depth (``_slopes``), and
+    H(f_u | x) = p0 * h(p(u) - p1 * D_u) + p1 * h(p(u) + p0 * D_u).
+    With k >= 2, each assignment to them is one forced pass over a copy
+    of the unforced values, recomputing only the levels from ``depth``
+    down to the deepest of them: the nodes below never test them.  With
     k = 0 the unforced values serve as they are.
     """
     nodes, pairs, level = manager._node, w._pairs, manager._var_level
-    order = _levelled(manager, roots)
+    if order is None:
+        order = _levelled(manager, roots)
     levels = [level[nodes[u][0]] for u in order]
     start = [bisect.bisect_left(levels, at) for at in range(manager.n + 1)]
     depths = sorted({depth for depth, _ in queries})
@@ -330,7 +380,20 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
         pushed = depth
     sat = _bottom_up(manager, order[start[depths[0]]:], pairs)
 
-    def passes(depth, rest):
+    # One slope pass per depth with single-variable queries, over the
+    # frontier nodes of every root, down to the deepest variable asked.
+    deepest: dict[int, int] = {}
+    for depth, rest in queries:
+        if len(rest) == 1:
+            deepest[depth] = max(deepest.get(depth, 0), level[rest[0]])
+    slopes = {}
+    for depth, bottom in deepest.items():
+        frontier = dict.fromkeys(u for nodes_at in frontiers[depth]
+                                 for u, _ in nodes_at)
+        slopes[depth] = _slopes(manager, order[start[depth]:start[bottom + 1]],
+                                sat, pairs, frontier)
+
+    def forced_passes(depth, rest):
         if not rest:
             yield 1.0, sat
             return
@@ -342,13 +405,29 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
     values = []
     for depth, rest in queries:
         totals = [0.0] * len(roots)
-        for weight, probs in passes(depth, rest):
+        if len(rest) == 1:
+            (x,) = rest
+            p0, p1 = pairs[x]
+            slope = slopes[depth].get(x, {})
             for i, frontier in enumerate(frontiers[depth]):
-                total = totals[i]
+                total = 0.0
                 for u, mass in frontier:
-                    total += mass * weight * _binary_entropy(probs[u])
+                    p = sat[u]
+                    d = slope.get(u)
+                    if d is None:
+                        total += mass * _binary_entropy(p)
+                    else:
+                        total += mass * (p0 * _binary_entropy(p - p1 * d)
+                                         + p1 * _binary_entropy(p + p0 * d))
                 totals[i] = total
-        values.append(sum(totals))
+        else:
+            for weight, probs in forced_passes(depth, rest):
+                for i, frontier in enumerate(frontiers[depth]):
+                    total = totals[i]
+                    for u, mass in frontier:
+                        total += mass * weight * _binary_entropy(probs[u])
+                    totals[i] = total
+        values.append(sum(totals, 0.0))
     return values, sat
 
 
@@ -367,10 +446,10 @@ def conditional_entropy_set(manager: BddManager, root: int,
     """H(f|S) in bits: expected entropy over all assignments to the set."""
     manager._check(root)
     w = _check_weights(manager, w)
-    given = set(variables)
+    given = list(variables)
     for var in given:
         manager._check_var(var)
-    return _conditioned(manager, (root,), [_query(manager, given)], w)[0][0]
+    return _conditioned(manager, (root,), [_query(manager, set(given))], w)[0][0]
 
 
 def mutual_information(manager: BddManager, root: int, var: int,
@@ -392,9 +471,10 @@ def measure_report(manager: BddManager, root: int,
     the probability from the same unforced pass."""
     manager._check(root)
     w = _check_weights(manager, w)
-    keys = list(dict.fromkeys(tuple(sorted(set(subset))) for subset in subsets))
-    for var in itertools.chain.from_iterable(keys):
+    subsets = [list(subset) for subset in subsets]
+    for var in itertools.chain.from_iterable(subsets):
         manager._check_var(var)
+    keys = list(dict.fromkeys(tuple(sorted(set(subset))) for subset in subsets))
     given = [(), *((var,) for var in range(manager.n)), *keys]
     values, sat = _conditioned(manager, (root,),
                                [_query(manager, set(vs)) for vs in given], w)

@@ -123,12 +123,18 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
     def search(roots: list[int]) -> Iterator[TraceStep]:
         for level in range(manager.n):
             # H(f | placed prefix, x): the prefix plus x is a top run of
-            # levels when x sits on ``level``, else x is forced below it.
+            # levels when x sits on ``level``, else x is one variable
+            # below it.
             candidates = sorted(manager.order[level:])
             top = manager.var_at_level(level)
             queries = [(level + 1, ()) if var == top else (level, (var,))
                        for var in candidates]
-            values, _ = measures._conditioned(manager, roots, queries, w)
+            # The unique tables hold only live nodes (the driver sweeps on
+            # entry and swaps retire what they orphan), so they give the
+            # level order without a walk.
+            order = [u for var in manager._level_var
+                     for u in sorted(manager._unique[var].values())]
+            values, _ = measures._conditioned(manager, roots, queries, w, order)
             scored = list(zip(candidates, values))
             best = min(score for _, score in scored)
             group = [var for var, score in scored if score <= best + _TIE_TOL]

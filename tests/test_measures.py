@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    AND, ONE, OR, XOR, ZERO, BddManager, VarProbabilities, WeightError,
+    AND, ONE, OR, XOR, ZERO, BddManager, UsageError, VarProbabilities,
+    WeightError,
     all_joint_probabilities, conditional_entropy_set, conditional_entropy_var,
     entropy, enumerate_bdd, exact_measures, info_reorder, measure_report,
     mutual_information, reach_probabilities, weighted_sat_probability,
@@ -30,11 +31,26 @@ def test_weights_validation():
     assert w.forced(1, 1).pair(1) == (0.0, 1.0)
 
 
-@pytest.mark.parametrize("var", [-1, 3])
+@pytest.mark.parametrize("var", [-1, 3, True])
 def test_forced_rejects_unknown_variables(var):
-    """-1 would pin the last variable and 3 would raise IndexError."""
+    """-1 would pin the last variable, 3 would raise IndexError and True
+    would pin variable 1."""
     with pytest.raises(WeightError):
         VarProbabilities.uniform(3).forced(var, 1)
+
+
+def test_bools_are_not_variable_indices(example1):
+    """True is an int equal to 1, but not a variable index; False would
+    merge with 0 in a set of variables."""
+    manager, root = example1
+    with pytest.raises(UsageError):
+        conditional_entropy_var(manager, root, True)
+    with pytest.raises(UsageError):
+        conditional_entropy_set(manager, root, [0, False])
+    with pytest.raises(UsageError):
+        measure_report(manager, root, subsets=[(True,)])
+    with pytest.raises(UsageError):
+        manager.mk_node(False, ZERO, ONE)
 
 
 def test_weights_length_checked(example1):
@@ -428,6 +444,33 @@ def test_deep_parity_chain():
     assert conditional_entropy_var(m, odd, n // 2) == 1.0
     assert conditional_entropy_set(m, odd, (0, 1, n // 2, n - 2)) == 1.0
     assert all_joint_probabilities(m, odd).sat == 0.5
+
+
+def test_measure_report_on_a_deep_and_chain():
+    """1,500 levels built with mk_node: the report matches the closed
+    form of x0 and ... and x1499 with p(x=1) = q for every variable, with
+    no recursion and no new node."""
+    n, q = 1500, 0.999
+    m = BddManager(n)
+    f = ONE
+    for var in reversed(range(n)):
+        f = m.mk_node(var, ZERO, f)
+    size = len(m)
+    subset = (0, n // 2, n - 1)
+    report = measure_report(m, f, VarProbabilities([(1.0 - q, q)] * n),
+                            subsets=[subset])
+    assert len(m) == size
+
+    def h(p):
+        return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+
+    assert report.sat == pytest.approx(q ** n, rel=1e-9)
+    assert report.entropy == pytest.approx(h(q ** n), rel=1e-9)
+    given_one = q * h(q ** (n - 1))      # H(f|x): f = 0 whenever x = 0
+    assert report.cond_entropy == pytest.approx(dict.fromkeys(range(n), given_one),
+                                                rel=1e-9)
+    assert report.set_entropy[subset] == pytest.approx(q ** 3 * h(q ** (n - 3)),
+                                                       rel=1e-9)
 
 
 def test_measures_build_no_nodes():

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    ONE, BddError, BddManager, NodeLimitError, TruthTable, VarProbabilities,
-    best_order_exhaustive, conditional_entropy_set, conditional_entropy_var,
-    enumerate_bdd, exact_measures, info_reorder, measure_report, sift,
-    window_permute,
+    ONE, ZERO, BddError, BddManager, NodeLimitError, TruthTable,
+    VarProbabilities, best_order_exhaustive, conditional_entropy_set,
+    conditional_entropy_var, enumerate_bdd, exact_measures, info_reorder,
+    measure_report, sift, weighted_sat_probability, window_permute,
 )
 from bddinfo.cli import load_circuit
 from bddinfo.measures import _conditioned
@@ -141,6 +141,98 @@ def test_conditioned_equals_summed_set_conditionals(rng):
             for subset in subsets:
                 assert report.set_entropy[tuple(sorted(set(subset)))] == \
                     conditional_entropy_set(m, root, subset, w)
+
+
+def _h(p):
+    return 0.0 if p <= 0.0 or p >= 1.0 else \
+        -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+
+
+def _forced_pass_route(m, roots, depth, x, w):
+    """Reference for the query (depth, (x,)): each root's path mass is
+    pushed through the levels above ``depth`` node by node, and every
+    node it reaches is scored from two forced probabilities, with x
+    pinned to 0 and to 1."""
+    total = 0.0
+    for root in roots:
+        reach = {root: 1.0}
+        for level in range(depth):
+            for u in sorted(u for u in reach
+                            if u not in (ZERO, ONE) and m.level_of(u) == level):
+                mass = reach.pop(u)
+                var, lo, hi = m.node(u)
+                p0, p1 = w.pair(var)
+                reach[lo] = reach.get(lo, 0.0) + mass * p0
+                reach[hi] = reach.get(hi, 0.0) + mass * p1
+        for u, mass in reach.items():
+            for value in (0, 1):
+                p = weighted_sat_probability(m, u, w.forced(x, value))
+                total += mass * w.pair(x)[value] * _h(p)
+    return total
+
+
+def test_slope_kernel_matches_forced_passes_and_oracle(rng):
+    """Every single-variable query (depth, (x,)), at every depth and for
+    x above, on and below it, equals the forced-pass route within 1e-12
+    and exact truth-table counting within 1e-9, on shared roots with a
+    terminal and a duplicate root, under weights with 0/1 pairs."""
+    for trial in range(12):
+        n = rng.randint(1, 7)
+        m, roots = _shared_roots(rng, n)
+        w = VarProbabilities.uniform(n) if trial % 2 else VarProbabilities(
+            [(1.0 - p, p) for p in (rng.choice((0.0, 0.25, 0.5, 0.875, 1.0))
+                                    for _ in range(n))])
+        tables = [enumerate_bdd(m, root) for root in roots]
+        order = list(m.order)
+        for depth in range(n + 1):
+            queries = [(depth, (x,)) for x in range(n)]
+            values, _ = _conditioned(m, roots, queries, w)
+            for x, value in zip(range(n), values):
+                assert value == pytest.approx(
+                    _forced_pass_route(m, roots, depth, x, w), abs=1e-12)
+                given = (tuple(sorted(set(order[:depth] + [x]))),)
+                exact = sum(exact_measures(table, w, subsets=given)
+                            .set_entropy[given[0]] for table in tables)
+                assert value == pytest.approx(exact, abs=1e-9)
+
+
+def test_info_scores_leave_out_unscored_registered_roots(rng):
+    """Scoring f alone while g is also registered gives, float for float,
+    f's own conditional_entropy_set scores: g's nodes sit in the level
+    order read from the unique tables but carry no mass."""
+    for trial in range(8):
+        n = rng.randint(3, 7)
+        order = list(range(n))
+        rng.shuffle(order)
+        m = BddManager(n, order=order)
+        f, g = (m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+                for _ in range(2))
+        w = None if trial % 2 else VarProbabilities(
+            [(1.0 - p, p) for p in (rng.choice((0.0, 0.25, 0.5, 0.875, 1.0))
+                                    for _ in range(n))])
+        replay = m.clone()          # same handles, so the same level order
+        trace = info_reorder(m, roots=[f], weights=w)
+        replay.collect_garbage()
+        assert replay.count_nodes([f]) < len(replay)
+        for step in trace.steps:
+            prefix = list(replay.order[:step.level])
+            assert step.scores == [
+                (x, conditional_entropy_set(replay, f, prefix + [x], w))
+                for x in sorted(replay.order[step.level:])]
+            replay.move_var(step.chosen, step.level)
+        assert replay.order == m.order
+
+
+def test_rootless_scores_are_floats():
+    """With no roots every score is the float 0.0, as TraceStep documents."""
+    m = BddManager(3)
+    trace = info_reorder(m)
+    scores = [score for step in trace.steps for _, score in step.scores]
+    assert scores == [0.0] * 6
+    assert all(type(score) is float for score in scores)
+    values, _ = _conditioned(m, [], [(0, ()), (0, (1,)), (1, (2, 0))],
+                             VarProbabilities.uniform(3))
+    assert all(type(value) is float for value in values)
 
 
 def test_info_reorder_walks_the_graph_once_per_level(rng, monkeypatch):
