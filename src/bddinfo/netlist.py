@@ -10,6 +10,7 @@ also the initial BDD order.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .manager import AND, ONE, OR, ZERO, BddManager, NodeLimitError
@@ -242,6 +243,11 @@ def _validate(netlist: Netlist) -> None:
         if sig in available:
             raise ParseError(f"input {sig!r} declared twice")
         available.add(sig)
+    seen_outputs: set[str] = set()
+    for sig in netlist.outputs:
+        if sig in seen_outputs:
+            raise ParseError(f"output {sig!r} declared twice")
+        seen_outputs.add(sig)
     defined: dict[str, Gate] = {}
     for gate in netlist.gates:
         if gate.output in defined or gate.output in available:
@@ -255,24 +261,27 @@ def _validate(netlist: Netlist) -> None:
     for sig in netlist.cut_outputs:
         if sig not in available and sig not in defined:
             raise UndefinedSignalError(f"output {sig!r} is never defined")
-    # Kahn's algorithm, stable in declaration order.
-    order_index = {gate.output: i for i, gate in enumerate(netlist.gates)}
-    remaining = {gate.output: set(s for s in gate.inputs if s in defined)
-                 for gate in netlist.gates}
+    # Kahn's algorithm, stable in declaration order: always emit the
+    # earliest declared gate whose gate-driven inputs are all emitted.
+    pending = []
+    readers: dict[str, list[int]] = {}
+    for i, gate in enumerate(netlist.gates):
+        deps = {s for s in gate.inputs if s in defined}
+        pending.append(len(deps))
+        for sig in deps:
+            readers.setdefault(sig, []).append(i)
+    ready = [i for i, count in enumerate(pending) if not count]
     sorted_gates: list[Gate] = []
-    ready = sorted((out for out, deps in remaining.items() if not deps),
-                   key=order_index.get)
     while ready:
-        out = ready.pop(0)
-        sorted_gates.append(defined[out])
-        del remaining[out]
-        for other, deps in remaining.items():
-            deps.discard(out)
-            if not deps and other not in ready:
-                ready.append(other)
-        ready.sort(key=order_index.get)
-    if remaining:
-        cycle = sorted(remaining)
+        gate = netlist.gates[heapq.heappop(ready)]
+        sorted_gates.append(gate)
+        for i in readers.get(gate.output, ()):
+            pending[i] -= 1
+            if not pending[i]:
+                heapq.heappush(ready, i)
+    if len(sorted_gates) < len(netlist.gates):
+        emitted = {gate.output for gate in sorted_gates}
+        cycle = sorted(out for out in defined if out not in emitted)
         raise CycleError(f"combinational cycle through {', '.join(cycle)}")
     netlist.gates = sorted_gates
 

@@ -1,9 +1,10 @@
 """Brute-force ground truth, independent of the BDD code paths.
 
 Functions here work on flat truth tables stored as integer bitmasks.
-Probabilities are exact rationals derived from assignment counting and
-only become floats at the entropy step, so a floating-point bug in the
-graph algorithms cannot hide behind an identical bug here.
+Probabilities are exact rationals, from assignment counts under uniform
+inputs and from exact per-assignment weights otherwise, and only become
+floats at the entropy step, so a floating-point bug in the graph
+algorithms cannot hide behind an identical bug here.
 """
 
 from __future__ import annotations
@@ -104,24 +105,22 @@ def enumerate_bdd(manager: BddManager, root: int) -> TruthTable:
     return TruthTable(n, bits)
 
 
+def _check_var(n: int, var) -> int:
+    if isinstance(var, bool) or not isinstance(var, int) or not 0 <= var < n:
+        raise ValueError(f"unknown variable {var!r} for {n} variables")
+    return var
+
+
 def joint_probability(tt: TruthTable, var: int, value: int) -> Fraction:
     """Exact p(f=1, x=value) under uniform inputs."""
-    mask = _var_mask(tt.n, var, value)
+    mask = _var_mask(tt.n, _check_var(tt.n, var), value)
     return Fraction((tt.bits & mask).bit_count(), tt.assignments)
 
 
 def conditional_probability(tt: TruthTable, var: int, value: int) -> Fraction:
     """Exact p(f=1 | x=value) under uniform inputs."""
-    mask = _var_mask(tt.n, var, value)
+    mask = _var_mask(tt.n, _check_var(tt.n, var), value)
     return Fraction((tt.bits & mask).bit_count(), 1 << (tt.n - 1))
-
-
-def _entropy_of_ratio(ones: int, total: int) -> float:
-    if total == 0 or ones == 0 or ones == total:
-        return 0.0
-    p = ones / total
-    q = 1.0 - p
-    return -(p * math.log2(p) + q * math.log2(q))
 
 
 def _exact_pairs(w: VarProbabilities, n: int) -> list[tuple[Fraction, Fraction]]:
@@ -132,19 +131,6 @@ def _exact_pairs(w: VarProbabilities, n: int) -> list[tuple[Fraction, Fraction]]
         p0 = Fraction(w.p0(v))
         pairs.append((p0, 1 - p0))
     return pairs
-
-
-def _weighted(tt: TruthTable, w: VarProbabilities):
-    """Per-assignment weights as exact fractions of the given floats."""
-    n = tt.n
-    pairs = _exact_pairs(w, n)
-    weights = []
-    for i in range(1 << n):
-        acc = Fraction(1)
-        for v in range(n):
-            acc *= pairs[v][(i >> (n - 1 - v)) & 1]
-        weights.append(acc)
-    return weights
 
 
 def _entropy_of_fraction(p: Fraction) -> float:
@@ -159,80 +145,53 @@ def exact_measures(tt: TruthTable, w: VarProbabilities | None = None,
                    subsets: tuple = ()) -> MeasureReport:
     """All measures straight from the table, bypassing the BDD entirely.
 
-    With uniform weights everything reduces to assignment counting per
-    the ratio k(f=b)/k; general weights are handled by exact per
-    assignment products.
+    Every H(f|S) sums p(a)·h(p(f=1, a) / p(a)) over the assignments a
+    to S, with p(f=1, a) and p(a) exact rationals; only the entropy step
+    is float.  Uniform weights count assignments; other weights sum
+    exact per-assignment products over the satisfying assignments.  A
+    subset variable outside 0..n-1, or a bool, raises ValueError.
     """
     n = tt.n
+    keys = [tuple(sorted({_check_var(n, v) for v in subset})) for subset in subsets]
+    bits = tt.bits
+    full = (1 << (1 << n)) - 1
     if w is None or w.is_uniform():
-        return _exact_uniform(tt, subsets)
-    pairs = _exact_pairs(w, n)
-    weights = _weighted(tt, w)
-    sat = sum(wt for i, wt in enumerate(weights) if tt.value(i))
-    entropy = _entropy_of_fraction(sat)
-    cond = {}
-    mutual = {}
-    for v in range(n):
-        h = 0.0
-        for b in (0, 1):
-            mask = _var_mask(n, v, b)
-            pb = pairs[v][b]
-            if pb == 0:
-                continue
-            sat_b = sum(wt for i, wt in enumerate(weights)
-                        if tt.value(i) and (mask >> i) & 1) / pb
-            h += float(pb) * _entropy_of_fraction(sat_b)
-        cond[v] = h
-        mutual[v] = entropy - h
-    set_entropy = {}
-    for subset in subsets:
-        vs = tuple(sorted(set(subset)))
+        pairs = [(Fraction(1, 2), Fraction(1, 2))] * n
+        weights = None
+    else:
+        pairs = _exact_pairs(w, n)
+        weights = [math.prod(pairs[v][(i >> (n - 1 - v)) & 1] for v in range(n))
+                   for i in range(1 << n)]
+
+    def mass(mask: int) -> Fraction:
+        # p(f=1 and the assignment lies in mask)
+        sel = bits & mask
+        if weights is None:
+            return Fraction(sel.bit_count(), 1 << n)
+        hits = map(int, bin(sel)[:1:-1])   # bit i of sel, lowest first
+        return sum(itertools.compress(weights, hits), Fraction(0))
+
+    def given(vs: tuple) -> float:
         h = 0.0
         for values in itertools.product((0, 1), repeat=len(vs)):
-            mask = (1 << (1 << n)) - 1
+            mask = full
             pa = Fraction(1)
             for v, b in zip(vs, values):
                 mask &= _var_mask(n, v, b)
                 pa *= pairs[v][b]
             if pa == 0:
                 continue
-            sat_a = sum(wt for i, wt in enumerate(weights)
-                        if tt.value(i) and (mask >> i) & 1) / pa
-            h += float(pa) * _entropy_of_fraction(sat_a)
-        set_entropy[vs] = h
-    return MeasureReport(sat=float(sat), entropy=entropy, cond_entropy=cond,
-                         mutual_info=mutual, set_entropy=set_entropy,
-                         counts=None)
+            h += float(pa) * _entropy_of_fraction(mass(mask) / pa)
+        return h
 
-
-def _exact_uniform(tt: TruthTable, subsets: tuple) -> MeasureReport:
-    n = tt.n
-    k = tt.assignments
-    k1 = tt.ones
-    entropy = _entropy_of_ratio(k1, k)
-    cond = {}
-    mutual = {}
-    for v in range(n):
-        h = 0.0
-        for b in (0, 1):
-            ones_b = (tt.bits & _var_mask(n, v, b)).bit_count()
-            h += 0.5 * _entropy_of_ratio(ones_b, k >> 1)
-        cond[v] = h
-        mutual[v] = entropy - h
-    set_entropy = {}
-    for subset in subsets:
-        vs = tuple(sorted(set(subset)))
-        h = 0.0
-        for values in itertools.product((0, 1), repeat=len(vs)):
-            mask = (1 << k) - 1
-            for v, b in zip(vs, values):
-                mask &= _var_mask(n, v, b)
-            ones_a = (tt.bits & mask).bit_count()
-            h += _entropy_of_ratio(ones_a, k >> len(vs)) / (1 << len(vs))
-        set_entropy[vs] = h
-    return MeasureReport(sat=k1 / k, entropy=entropy, cond_entropy=cond,
-                         mutual_info=mutual, set_entropy=set_entropy,
-                         counts=(k, k1))
+    sat = mass(full)
+    entropy = _entropy_of_fraction(sat)
+    cond = {v: given((v,)) for v in range(n)}
+    return MeasureReport(
+        sat=float(sat), entropy=entropy, cond_entropy=cond,
+        mutual_info={v: entropy - h for v, h in cond.items()},
+        set_entropy={vs: given(vs) for vs in keys},
+        counts=(1 << n, tt.ones) if weights is None else None)
 
 
 # -- variable-order search ---------------------------------------------------

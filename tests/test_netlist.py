@@ -187,6 +187,59 @@ def test_gate_order_is_topological():
     assert [g.output for g in nl.gates] == ["t", "y"]
 
 
+def _reference_gate_order(gates):
+    """Emit the earliest declared gate whose gate-driven inputs are all
+    emitted; return the emitted names and the sorted names left over."""
+    driven = {out for out, _ in gates}
+    done = set()
+    order = []
+    while True:
+        for out, ins in gates:
+            if out not in done and all(s in done for s in ins if s in driven):
+                done.add(out)
+                order.append(out)
+                break
+        else:
+            return order, sorted(driven - done)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_gate_order_matches_reference_loop(rng, cyclic):
+    for _ in range(60):
+        names = [f"g{i}" for i in range(rng.randint(1, 30))]
+        rng.shuffle(names)
+        gates = []
+        for k, out in enumerate(names):
+            pool = ["a", "b"] + (names if cyclic else names[k + 1:])
+            gates.append((out, [rng.choice(pool)
+                                for _ in range(rng.randint(0, 3))]))
+        rng.shuffle(gates)   # declaration order is independent of the DAG
+        text = ".model r\n.inputs a b\n.outputs " + names[0] + "\n" + "".join(
+            f".names {' '.join(ins + [out])}\n" + ("1" * len(ins) + " 1\n"
+                                                 if ins else "1\n")
+            for out, ins in gates) + ".end\n"
+        order, left = _reference_gate_order(gates)
+        if left:
+            with pytest.raises(CycleError) as err:
+                parse_blif(text)
+            assert str(err.value) == f"combinational cycle through {', '.join(left)}"
+        else:
+            assert [g.output for g in parse_blif(text).gates] == order
+
+
+def test_wide_netlist_gate_order():
+    # Even gates read the next (later declared) odd gate, odd gates read
+    # the input: the earliest ready gate is always the next pair's odd one.
+    width = 3000
+    text = (".model w\n.inputs a\n.outputs g0\n"
+            + "".join(f".names {'a' if i % 2 else f'g{i + 1}'} g{i}\n1 1\n"
+                      for i in range(width))
+            + ".end\n")
+    nl = parse_blif(text)
+    assert [g.output for g in nl.gates] == [
+        f"g{i ^ 1}" for i in range(width)]
+
+
 def test_multiple_latches():
     text = (".model counter\n.inputs en\n.outputs q1\n"
             ".latch d0 q0 re clk 0\n.latch d1 q1\n"
@@ -241,6 +294,7 @@ def test_feedback_through_latch_is_not_a_cycle():
     ".model m\n.inputs a\n.outputs y\n.names a y\n- -\n.end\n",  # bad out char
     ".model m\n.inputs a b a\n.outputs y\n.names a b y\n11 1\n.end\n",  # input twice
     ".model m\n.inputs a\n.outputs y\n.latch y a\n.names a y\n1 1\n.end\n",  # latch on input
+    ".model m\n.inputs a\n.outputs f f\n.names a f\n1 1\n.end\n",  # output twice
 ])
 def test_malformed_blif_raises_netlist_errors(text):
     from bddinfo import NetlistError

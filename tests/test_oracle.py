@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,15 @@ def test_weighted_exact_measures_match_uniform():
     for v in range(3):
         assert weighted.cond_entropy[v] == pytest.approx(uni.cond_entropy[v], abs=1e-12)
     assert w.is_uniform()
+    # Forcing one variable leaves uniform weights, so the weighted mass sum
+    # must reproduce the count route's conditional probability exactly.
+    for v in range(3):
+        for b in (0, 1):
+            forced = VarProbabilities.uniform(3).forced(v, b)
+            assert not forced.is_uniform()
+            report = exact_measures(tt, forced)
+            assert report.counts is None
+            assert report.sat == float(conditional_probability(tt, v, b))
 
 
 def test_weighted_exact_measures_forced():
@@ -90,6 +100,78 @@ def test_weighted_exact_measures_forced():
     report = exact_measures(tt, w)
     # With x2 pinned to 0, f reduces to x1 or not x3: p = 3/4.
     assert report.sat == pytest.approx(0.75, abs=1e-12)
+
+
+def _brute_force_given(tt, pairs, vs):
+    """H(f|vs) from an explicit walk over every assignment."""
+    n = tt.n
+    groups = {}
+    for i in range(1 << n):
+        x = [(i >> (n - 1 - v)) & 1 for v in range(n)]
+        p = Fraction(1)
+        for v in range(n):
+            p *= pairs[v][x[v]]
+        mass = groups.setdefault(tuple(x[v] for v in vs), [Fraction(0), Fraction(0)])
+        mass[0] += p
+        if tt.value(i):
+            mass[1] += p
+    h = 0.0
+    for pa, ones in groups.values():
+        q = ones / pa if pa else Fraction(0)
+        if 0 < q < 1:
+            h -= float(pa) * (float(q) * math.log2(q) + float(1 - q) * math.log2(1 - q))
+    return h
+
+
+DYADIC_PAIRS = [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (0.25, 0.75), (0.75, 0.25),
+                (0.125, 0.875), (0.625, 0.375)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_exact_measures_match_brute_force(data):
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    tt = TruthTable(n, data.draw(st.integers(min_value=0,
+                                             max_value=(1 << (1 << n)) - 1)))
+    weighted = data.draw(st.booleans())
+    w = (VarProbabilities(data.draw(st.lists(st.sampled_from(DYADIC_PAIRS),
+                                             min_size=n, max_size=n)))
+         if weighted else None)
+    subsets = data.draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n + 1)
+        if n else st.just([]), max_size=4))
+    pairs = ([tuple(map(Fraction, w.pair(v))) for v in range(n)] if weighted
+             else [(Fraction(1, 2), Fraction(1, 2))] * n)
+    report = exact_measures(tt, w, subsets=tuple(map(tuple, subsets)))
+    entropy = _brute_force_given(tt, pairs, ())
+    sat = sum(math.prod(pairs[v][(i >> (n - 1 - v)) & 1] for v in range(n))
+              for i in range(1 << n) if tt.value(i))
+    assert report.sat == float(sat)
+    assert report.entropy == pytest.approx(entropy, abs=1e-12)
+    assert sorted(report.cond_entropy) == list(range(n))
+    for v in range(n):
+        h = _brute_force_given(tt, pairs, (v,))
+        assert report.cond_entropy[v] == pytest.approx(h, abs=1e-12)
+        assert report.mutual_info[v] == pytest.approx(entropy - h, abs=1e-12)
+    keys = {tuple(sorted(set(subset))) for subset in subsets}
+    assert set(report.set_entropy) == keys
+    for vs in keys:
+        assert report.set_entropy[vs] == pytest.approx(
+            _brute_force_given(tt, pairs, vs), abs=1e-12)
+
+
+@pytest.mark.parametrize("var", [True, False, -1, 3, 1.0, "0"])
+def test_oracle_rejects_unknown_variables(var):
+    tt = TruthTable.from_string(EXAMPLE1_VECTOR)
+    with pytest.raises(ValueError):
+        exact_measures(tt, subsets=((var,),))
+    with pytest.raises(ValueError):
+        exact_measures(tt, VarProbabilities([(0.25, 0.75)] * 3),
+                       subsets=((0, var),))
+    with pytest.raises(ValueError):
+        joint_probability(tt, var, 1)
+    with pytest.raises(ValueError):
+        conditional_probability(tt, var, 1)
 
 
 def test_bdd_size_for_order_example1():
