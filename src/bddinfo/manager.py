@@ -80,9 +80,7 @@ class BddManager:
         self.n = n
         if order is None:
             order = range(n)
-        order = list(order)
-        if sorted(order) != list(range(n)):
-            raise ValueError(f"order must be a permutation of 0..{n - 1}")
+        order = _permutation(order, n, ValueError)
         self._level_var = order                    # level -> variable
         self._var_level = [0] * n                  # variable -> level
         for level, var in enumerate(order):
@@ -114,8 +112,7 @@ class BddManager:
         return self._var_level[var]
 
     def var_at_level(self, level: int) -> int:
-        if not 0 <= level < self.n:
-            raise UsageError(f"level {level} out of range")
+        self._check_level(level)
         return self._level_var[level]
 
     # -- structural queries -------------------------------------------------
@@ -372,7 +369,7 @@ class BddManager:
         when the worst case (two new nodes per node at ``level``) would
         pass ``node_limit``.  Operation caches are invalidated.
         """
-        if not 0 <= level < self.n - 1:
+        if isinstance(level, bool) or not 0 <= level < self.n - 1:
             raise UsageError(f"level {level} out of range for swapping")
         x = self._level_var[level]
         y = self._level_var[level + 1]
@@ -466,18 +463,14 @@ class BddManager:
 
     def set_order(self, order: Sequence[int]) -> None:
         """Migrate to the given variable order via adjacent swaps."""
-        target = list(order)
-        if sorted(target) != list(range(self.n)):
-            raise UsageError(f"order must be a permutation of 0..{self.n - 1}")
-        for level, var in enumerate(target):
+        for level, var in enumerate(_permutation(order, self.n, UsageError)):
             self.move_var(var, level)
 
     def move_var(self, var: int, level: int) -> None:
         """Move ``var`` to ``level`` by adjacent swaps, up or down; the
         variables in between shift one level towards its old place."""
         cur = self.level_of_var(var)
-        if not 0 <= level < self.n:
-            raise UsageError(f"level {level} out of range")
+        self._check_level(level)
         while cur > level:
             self.swap_adjacent_levels(cur - 1)
             cur -= 1
@@ -518,6 +511,11 @@ class BddManager:
         if ref not in self._node:
             raise ManagerMismatchError(
                 f"handle {ref!r} does not belong to this manager")
+
+    def _check_level(self, level: int) -> None:
+        # bool is an int subclass: True would silently mean level 1.
+        if isinstance(level, bool) or not 0 <= level < self.n:
+            raise UsageError(f"level {level} out of range")
 
     def _check_var(self, var: int) -> None:
         # bool is an int subclass: True would silently mean variable 1.
@@ -588,3 +586,12 @@ def _coerce_bits(bits) -> list[int]:
             raise InputError(f"truth vector entry {b!r} is not 0/1")
         vec.append(int(b))
     return vec
+
+
+def _permutation(order: Iterable[int], n: int, error: type[Exception]) -> list[int]:
+    """``order`` as a list, if it is a permutation of 0..n-1 without bools
+    (True would compare equal to 1); otherwise raise ``error``."""
+    order = list(order)
+    if any(isinstance(v, bool) for v in order) or sorted(order) != list(range(n)):
+        raise error(f"order must be a permutation of 0..{n - 1}")
+    return order

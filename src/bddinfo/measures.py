@@ -154,14 +154,13 @@ class MeasureReport:
     counts: tuple[int, int] | None = None
 
 
-def _check_weights(manager: BddManager, w: VarProbabilities | None) -> VarProbabilities:
+def _check_weights(n: int, w: VarProbabilities | None) -> VarProbabilities:
     if w is None:
-        return VarProbabilities.uniform(manager.n)
+        return VarProbabilities.uniform(n)
     if not isinstance(w, VarProbabilities):
         raise WeightError(f"weights must be VarProbabilities, got {type(w).__name__}")
-    if len(w) != manager.n:
-        raise WeightError(
-            f"weights cover {len(w)} variables, manager has {manager.n}")
+    if len(w) != n:
+        raise WeightError(f"weights cover {len(w)} variables, expected {n}")
     return w
 
 
@@ -213,7 +212,7 @@ def weighted_sat_probability(manager: BddManager, root: int,
     weights forced by :meth:`VarProbabilities.forced` give conditionals.
     """
     manager._check(root)
-    w = _check_weights(manager, w)
+    w = _check_weights(manager.n, w)
     return _bottom_up(manager, _levelled(manager, (root,)), w._pairs)[root]
 
 
@@ -227,7 +226,7 @@ def reach_probabilities(manager: BddManager, root: int,
     probability.
     """
     manager._check(root)
-    w = _check_weights(manager, w)
+    w = _check_weights(manager.n, w)
     return _top_down(manager, {root: 1.0}, _levelled(manager, (root,)), w._pairs)
 
 
@@ -242,7 +241,7 @@ def all_joint_probabilities(manager: BddManager, root: int,
     function and variable are independent.
     """
     manager._check(root)
-    w = _check_weights(manager, w)
+    w = _check_weights(manager.n, w)
     order = _levelled(manager, (root,))
     sat = _bottom_up(manager, order, w._pairs)
     reach = _top_down(manager, {root: 1.0}, order, w._pairs)
@@ -436,7 +435,7 @@ def conditional_entropy_var(manager: BddManager, root: int, var: int,
     """H(f|x) in bits: the weight-averaged entropies of f with x fixed."""
     manager._check(root)
     manager._check_var(var)
-    w = _check_weights(manager, w)
+    w = _check_weights(manager.n, w)
     return _conditioned(manager, (root,), [_query(manager, {var})], w)[0][0]
 
 
@@ -445,7 +444,7 @@ def conditional_entropy_set(manager: BddManager, root: int,
                             w: VarProbabilities | None = None) -> float:
     """H(f|S) in bits: expected entropy over all assignments to the set."""
     manager._check(root)
-    w = _check_weights(manager, w)
+    w = _check_weights(manager.n, w)
     given = list(variables)
     for var in given:
         manager._check_var(var)
@@ -455,7 +454,7 @@ def conditional_entropy_set(manager: BddManager, root: int,
 def mutual_information(manager: BddManager, root: int, var: int,
                        w: VarProbabilities | None = None) -> float:
     """I(f;x) = H(f) - H(f|x) in bits, from one ``_conditioned`` call."""
-    w = _check_weights(manager, w)
+    w = _check_weights(manager.n, w)
     manager._check(root)
     manager._check_var(var)
     (h, hv), _ = _conditioned(manager, (root,),
@@ -470,7 +469,7 @@ def measure_report(manager: BddManager, root: int,
     call: H(f) as H(f | no variables), every H(f|x), every subset, and
     the probability from the same unforced pass."""
     manager._check(root)
-    w = _check_weights(manager, w)
+    w = _check_weights(manager.n, w)
     subsets = [list(subset) for subset in subsets]
     for var in itertools.chain.from_iterable(subsets):
         manager._check_var(var)

@@ -1,10 +1,10 @@
 """Brute-force ground truth, independent of the BDD code paths.
 
 Functions here work on flat truth tables stored as integer bitmasks.
-Probabilities are exact rationals, from assignment counts under uniform
-inputs and from exact per-assignment weights otherwise, and only become
-floats at the entropy step, so a floating-point bug in the graph
-algorithms cannot hide behind an identical bug here.
+Probabilities are exact integers over a power of two, from assignment
+counts under uniform inputs and from per-assignment weights otherwise,
+and only become floats at the entropy step, so a floating-point bug in
+the graph algorithms cannot hide behind an identical bug here.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .manager import ONE, ZERO, BddManager
-from .measures import MeasureReport, VarProbabilities
+from .manager import ONE, ZERO, BddManager, _permutation
+from .measures import MeasureReport, VarProbabilities, _check_weights
 
 MAX_ENUM_VARS = 24
 MAX_ORDER_SEARCH_VARS = 8
@@ -123,72 +123,70 @@ def conditional_probability(tt: TruthTable, var: int, value: int) -> Fraction:
     return Fraction((tt.bits & mask).bit_count(), 1 << (tt.n - 1))
 
 
-def _exact_pairs(w: VarProbabilities, n: int) -> list[tuple[Fraction, Fraction]]:
-    # Renormalize so each pair sums to exactly 1 as rationals; the float
-    # pairs already do so within 1e-12.
-    pairs = []
-    for v in range(n):
-        p0 = Fraction(w.p0(v))
-        pairs.append((p0, 1 - p0))
-    return pairs
-
-
-def _entropy_of_fraction(p: Fraction) -> float:
-    if p <= 0 or p >= 1:
+def _entropy(num: int, den: int) -> float:
+    """Binary entropy of the probability num / den, in bits."""
+    # int / int is correctly rounded, so p and q are the nearest floats;
+    # a probability below the smallest float rounds to 0 and adds nothing.
+    p = num / den
+    q = (den - num) / den
+    if p == 0.0 or q == 0.0:
         return 0.0
-    pf = float(p)
-    qf = float(1 - p)
-    return -(pf * math.log2(pf) + qf * math.log2(qf))
+    return -(p * math.log2(p) + q * math.log2(q))
 
 
 def exact_measures(tt: TruthTable, w: VarProbabilities | None = None,
                    subsets: tuple = ()) -> MeasureReport:
     """All measures straight from the table, bypassing the BDD entirely.
 
-    Every H(f|S) sums p(a)·h(p(f=1, a) / p(a)) over the assignments a
-    to S, with p(f=1, a) and p(a) exact rationals; only the entropy step
-    is float.  Uniform weights count assignments; other weights sum
-    exact per-assignment products over the satisfying assignments.  A
-    subset variable outside 0..n-1, or a bool, raises ValueError.
+    Float weights are dyadic, so every pair is exactly (a0, 2**e - a0)
+    over one power of two 2**e (uniform: (1, 1), e = 1).  Every H(f|S)
+    sums p(a)·h(p(f=1, a) / p(a)) over the assignments a to S, with p(a)
+    and p(f=1, a) integers over powers of 2**e: a count of assignments
+    under uniform weights, else a sum of per-assignment products.  Only
+    the entropy step is float.  Weights that are not VarProbabilities
+    over n variables raise WeightError; a subset variable outside
+    0..n-1, or a bool, raises ValueError.
     """
     n = tt.n
+    w = _check_weights(n, w)
     keys = [tuple(sorted({_check_var(n, v) for v in subset})) for subset in subsets]
     bits = tt.bits
     full = (1 << (1 << n)) - 1
-    if w is None or w.is_uniform():
-        pairs = [(Fraction(1, 2), Fraction(1, 2))] * n
-        weights = None
-    else:
-        pairs = _exact_pairs(w, n)
-        weights = [math.prod(pairs[v][(i >> (n - 1 - v)) & 1] for v in range(n))
-                   for i in range(1 << n)]
+    ratios = [w.p0(v).as_integer_ratio() for v in range(n)]
+    one = max((den for _, den in ratios), default=1)   # 2**e; every den divides it
+    a0s = [num * one // den for num, den in ratios]
+    pairs = [(a0, one - a0) for a0 in a0s]
+    weights = None if w.is_uniform() else [
+        math.prod(pairs[v][(i >> (n - 1 - v)) & 1] for v in range(n))
+        for i in range(1 << n)]
 
-    def mass(mask: int) -> Fraction:
-        # p(f=1 and the assignment lies in mask)
+    def mass(mask: int) -> int:
+        # p(f=1 and the assignment lies in mask), times one**n
         sel = bits & mask
         if weights is None:
-            return Fraction(sel.bit_count(), 1 << n)
+            return sel.bit_count()
         hits = map(int, bin(sel)[:1:-1])   # bit i of sel, lowest first
-        return sum(itertools.compress(weights, hits), Fraction(0))
+        return sum(itertools.compress(weights, hits))
 
     def given(vs: tuple) -> float:
         h = 0.0
+        den = one ** len(vs)
+        scale = one ** (n - len(vs))
         for values in itertools.product((0, 1), repeat=len(vs)):
             mask = full
-            pa = Fraction(1)
+            pa = 1
             for v, b in zip(vs, values):
                 mask &= _var_mask(n, v, b)
                 pa *= pairs[v][b]
-            if pa == 0:
-                continue
-            h += float(pa) * _entropy_of_fraction(mass(mask) / pa)
+            if pa:
+                h += pa / den * _entropy(mass(mask), pa * scale)
         return h
 
     sat = mass(full)
-    entropy = _entropy_of_fraction(sat)
+    entropy = _entropy(sat, one ** n)
     cond = {v: given((v,)) for v in range(n)}
     return MeasureReport(
-        sat=float(sat), entropy=entropy, cond_entropy=cond,
+        sat=sat / one ** n, entropy=entropy, cond_entropy=cond,
         mutual_info={v: entropy - h for v, h in cond.items()},
         set_entropy={vs: given(vs) for vs in keys},
         counts=(1 << n, tt.ones) if weights is None else None)
@@ -209,29 +207,33 @@ def _split_table(bits: int, m: int, r: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _split_level(tables, m: int, r: int) -> tuple[int, set[int]]:
+    """Split every table over m variables at position r: the number of
+    tables that depend on that variable, and the set of their halves."""
+    count = 0
+    halves = set()
+    for t in tables:
+        lo, hi = _split_table(t, m, r)
+        count += lo != hi
+        halves.add(lo)
+        halves.add(hi)
+    return count, halves
+
+
 def bdd_size_for_order(tt: TruthTable, order) -> int:
     """Internal node count of the reduced BDD under an explicit order.
 
     Counts, level by level, the distinct subfunctions that still depend
     on the level's variable; no BDD is built.
     """
-    order = list(order)
-    if sorted(order) != list(range(tt.n)):
-        raise ValueError(f"order must be a permutation of 0..{tt.n - 1}")
+    order = _permutation(order, tt.n, ValueError)
     rem = list(range(tt.n))
-    tables = [tt.bits]
+    tables = {tt.bits}
     size = 0
     for var in order:
         r = rem.index(var)
-        m = len(rem)
-        nxt = set()
-        for t in tables:
-            lo, hi = _split_table(t, m, r)
-            if lo != hi:
-                size += 1
-            nxt.add(lo)
-            nxt.add(hi)
-        tables = sorted(nxt)
+        count, tables = _split_level(tables, len(rem), r)
+        size += count
         rem.pop(r)
     return size
 
@@ -239,76 +241,32 @@ def bdd_size_for_order(tt: TruthTable, order) -> int:
 def best_order_exhaustive(tt: TruthTable) -> tuple[list[int], int]:
     """Size-minimizing variable order and its node count.
 
-    Every permutation is covered: literally for n <= 6, and through the
-    prefix-set recurrence for n in {7, 8} (the node count of a level
-    depends only on the set of variables above it, so shared prefixes
-    collapse).  Both routes agree and are cross-checked in the tests.
+    One forward dynamic program over the set S of variables placed above
+    (Friedman & Supowit, 1990): the node count of the level below S
+    depends only on S, so the best size of S placed first extends to
+    each S + {x} by the count of S's subfunctions that depend on x.
+    Sets are visited in increasing mask order and each (S, x) is split
+    once.  On a tie the later candidate wins, so the smallest variable
+    of S goes last.
     """
     n = tt.n
     if n > MAX_ORDER_SEARCH_VARS:
         raise OracleLimitError(f"refusing order search over {n} variables")
-    if n <= 1:
-        return list(range(n)), bdd_size_for_order(tt, range(n))
-    if n <= 6:
-        best_order = None
-        best_size = None
-        for perm in itertools.permutations(range(n)):
-            size = bdd_size_for_order(tt, perm)
-            if best_size is None or size < best_size:
-                best_size = size
-                best_order = list(perm)
-        return best_order, best_size
-    return _best_order_prefix_dp(tt)
-
-
-def _best_order_prefix_dp(tt: TruthTable) -> tuple[list[int], int]:
-    n = tt.n
-    full = (1 << n) - 1
-    tables: dict[int, tuple[int, ...]] = {0: (tt.bits,)}
-    best = {0: 0}
-    choice: dict[int, int] = {}
-
-    def position(mask: int, var: int) -> int:
-        # Rank of var among the variables not yet placed by ``mask``.
-        below = ((1 << var) - 1) & ~mask
-        return below.bit_count()
-
-    for mask in range(1, full + 1):
-        # Derive this prefix's subfunction set from any one-smaller prefix.
-        x = (mask & -mask).bit_length() - 1
-        prev = mask ^ (1 << x)
-        m = n - prev.bit_count()
-        r = position(prev, x)
-        nxt = set()
-        for t in tables[prev]:
-            lo, hi = _split_table(t, m, r)
-            nxt.add(lo)
-            nxt.add(hi)
-        tables[mask] = tuple(sorted(nxt))
-        best_cost = None
-        best_var = None
+    tables = {0: {tt.bits}}       # placed-set mask -> its subfunctions
+    best = {0: (0, [])}           # mask -> (size, best order of the set)
+    for mask in range(1 << n):
+        size, order = best[mask]
+        subfunctions = tables.pop(mask)
+        m = n - mask.bit_count()
+        r = 0                     # rank of var among the unplaced variables
         for var in range(n):
-            bit = 1 << var
-            if not mask & bit:
+            if mask >> var & 1:
                 continue
-            prev_v = mask ^ bit
-            m_v = n - prev_v.bit_count()
-            r_v = position(prev_v, var)
-            count = 0
-            for t in tables[prev_v]:
-                lo, hi = _split_table(t, m_v, r_v)
-                if lo != hi:
-                    count += 1
-            cost = best[prev_v] + count
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_var = var
-        best[mask] = best_cost
-        choice[mask] = best_var
-    order_rev = []
-    mask = full
-    while mask:
-        var = choice[mask]
-        order_rev.append(var)
-        mask ^= 1 << var
-    return order_rev[::-1], best[full]
+            count, halves = _split_level(subfunctions, m, r)
+            r += 1
+            nxt = mask | 1 << var
+            tables.setdefault(nxt, halves)
+            if nxt not in best or size + count <= best[nxt][0]:
+                best[nxt] = (size + count, order + [var])
+    size, order = best[(1 << n) - 1]
+    return order, size

@@ -118,7 +118,7 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
     moved to the level through adjacent swaps.  ``roots`` (default: the
     registered roots) are registered; sizes count every registered root.
     """
-    w = _check_weights(manager, weights)
+    w = _check_weights(manager.n, weights)
 
     def search(roots: list[int]) -> Iterator[TraceStep]:
         for level in range(manager.n):

@@ -465,6 +465,27 @@ def test_move_var_up_and_down(rng):
     assert enumerate_bdd(m, root).to_string() == vector
 
 
+def test_bools_are_not_orders_or_levels(example1):
+    # True == 1 and False == 0, so a bool would pass as a level or as an
+    # entry of a permutation unless rejected by type.
+    with pytest.raises(ValueError):
+        BddManager(2, order=[True, False])
+    with pytest.raises(ValueError):
+        BddManager(3, order=[2, True, False])
+    manager, root = example1
+    with pytest.raises(UsageError):
+        manager.set_order([2, True, False])
+    with pytest.raises(UsageError):
+        manager.var_at_level(True)
+    with pytest.raises(UsageError):
+        manager.move_var(0, True)
+    with pytest.raises(UsageError):
+        manager.swap_adjacent_levels(True)
+    assert manager.order == (0, 1, 2)
+    assert manager.var_at_level(1) == 1
+    assert enumerate_bdd(manager, root).to_string() == EXAMPLE1_VECTOR
+
+
 def test_collect_garbage_drops_unregistered():
     m = BddManager(3)
     keep = m.register_root(m.build_from_truth_vector("10001111"))

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    BddManager, TruthTable, VarProbabilities, bdd_size_for_order,
+    BddManager, TruthTable, VarProbabilities, WeightError, bdd_size_for_order,
     best_order_exhaustive, enumerate_bdd, exact_measures,
 )
 from bddinfo.oracle import (
-    OracleLimitError, _best_order_prefix_dp, conditional_probability,
-    joint_probability,
+    OracleLimitError, conditional_probability, joint_probability,
 )
 
 from conftest import EXAMPLE1_VECTOR, H_F, H_F_X1, H_F_X1X2, H_F_X2, random_function
@@ -118,7 +117,7 @@ def _brute_force_given(tt, pairs, vs):
     h = 0.0
     for pa, ones in groups.values():
         q = ones / pa if pa else Fraction(0)
-        if 0 < q < 1:
+        if 0 < q < 1 and float(q) and float(1 - q):   # else below float range
             h -= float(pa) * (float(q) * math.log2(q) + float(1 - q) * math.log2(1 - q))
     return h
 
@@ -174,6 +173,45 @@ def test_oracle_rejects_unknown_variables(var):
         conditional_probability(tt, var, 1)
 
 
+def test_exact_measures_with_extreme_dyadic_weights():
+    """Weights far apart in scale share one power-of-two denominator."""
+    w = VarProbabilities([(5e-324, 1.0), (1 - 2**-53, 2**-53), (0.1, 0.9)])
+    pairs = [(Fraction(w.p0(v)), 1 - Fraction(w.p0(v))) for v in range(3)]
+    for bits in range(256):
+        tt = TruthTable(3, bits)
+        report = exact_measures(tt, w, subsets=((0, 1), (0, 1, 2)))
+        sat = sum(math.prod(pairs[v][(i >> (2 - v)) & 1] for v in range(3))
+                  for i in range(8) if tt.value(i))
+        assert report.sat == float(sat)
+        assert report.entropy == pytest.approx(
+            _brute_force_given(tt, pairs, ()), abs=1e-12)
+        for v in range(3):
+            assert report.cond_entropy[v] == pytest.approx(
+                _brute_force_given(tt, pairs, (v,)), abs=1e-12)
+        for vs in ((0, 1), (0, 1, 2)):
+            assert report.set_entropy[vs] == pytest.approx(
+                _brute_force_given(tt, pairs, vs), abs=1e-12)
+
+
+@pytest.mark.parametrize("w", [
+    [(0.5, 0.5)] * 3,
+    VarProbabilities([(0.25, 0.75)]),
+    VarProbabilities([(0.5, 0.5)]),
+    VarProbabilities([(0.25, 0.75)] * 5),
+    VarProbabilities([]),
+])
+def test_exact_measures_rejects_a_mismatched_weighting(w):
+    with pytest.raises(WeightError):
+        exact_measures(TruthTable.from_string(EXAMPLE1_VECTOR), w)
+
+
+def test_bdd_size_for_order_rejects_bools():
+    tt = TruthTable.from_string(EXAMPLE1_VECTOR)
+    for order in ([True, False, 2], [0, True, 2], [2, 1, False]):
+        with pytest.raises(ValueError):
+            bdd_size_for_order(tt, order)
+
+
 def test_bdd_size_for_order_example1():
     tt = TruthTable.from_string(EXAMPLE1_VECTOR)
     sizes = {p: bdd_size_for_order(tt, p) for p in itertools.permutations(range(3))}
@@ -213,13 +251,25 @@ def test_best_order_refuses_large():
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_prefix_dp_equals_brute_force(data):
-    n = data.draw(st.integers(min_value=2, max_value=5))
+    n = data.draw(st.integers(min_value=0, max_value=6))
     bits = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
     tt = TruthTable(n, bits)
     brute = min(bdd_size_for_order(tt, p)
                 for p in itertools.permutations(range(n)))
-    order, size = _best_order_prefix_dp(tt)
+    order, size = best_order_exhaustive(tt)
     assert size == brute
+    assert bdd_size_for_order(tt, order) == size
+
+
+def test_best_order_seven_variables_against_every_permutation():
+    # f = x0·x4 + x1·x5 + x2·x6 xor x3: pairing the variables matters.
+    x = [[(i >> (6 - v)) & 1 for v in range(7)] for i in range(128)]
+    vector = "".join(str((a[0] & a[4] | a[1] & a[5] | a[2] & a[6]) ^ a[3]) for a in x)
+    tt = TruthTable.from_string(vector)
+    sizes = [bdd_size_for_order(tt, p) for p in itertools.permutations(range(7))]
+    order, size = best_order_exhaustive(tt)
+    assert size == min(sizes)
+    assert size < max(sizes)
     assert bdd_size_for_order(tt, order) == size
 
 
