@@ -66,10 +66,8 @@ def load_circuit(path: str, node_limit: int | None = None) -> LoadedCircuit:
     kind = _sniff_format(path, text)
     if kind == "vector":
         bits = "".join(text.split())
-        length = len(bits)
-        if length == 0 or length & (length - 1):
-            raise InputError(f"truth vector length {length} is not a power of two")
-        n = length.bit_length() - 1
+        # The manager rejects a length that is not a power of two.
+        n = max(len(bits).bit_length() - 1, 0)
         manager = BddManager(n, node_limit=node_limit)
         root = manager.build_from_truth_vector(bits)
         manager.register_root(root)

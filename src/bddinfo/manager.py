@@ -75,8 +75,9 @@ class BddManager:
 
     def __init__(self, n: int, order: Sequence[int] | None = None,
                  node_limit: int | None = None):
-        if n < 0:
-            raise ValueError("variable count must be nonnegative")
+        # bool is an int subclass: True would silently mean one variable.
+        if isinstance(n, bool) or n < 0:
+            raise ValueError(f"variable count must be a nonnegative int, got {n!r}")
         self.n = n
         if order is None:
             order = range(n)
@@ -337,13 +338,13 @@ class BddManager:
             stack.append(t[2])
         return seen
 
-    def collect_garbage(self, extra_roots: Iterable[int] = ()) -> int:
-        """Sweep nodes unreachable from the registered (plus extra) roots.
+    def collect_garbage(self) -> int:
+        """Sweep nodes unreachable from the registered roots.
 
         Returns the number of retired nodes.  Handles not covered by a
         root are invalid afterwards; retired ids are never reused.
         """
-        keep = self._reachable(list(self._roots) + list(extra_roots))
+        keep = self._reachable(self._roots)
         dead = [u for u in self._node if u not in keep]
         refs = self._refs
         for u in dead:

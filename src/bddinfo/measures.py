@@ -14,12 +14,13 @@ joint and conditional probability of the function in one sweep.
 
 Every conditional entropy H(f|S) comes from one kernel,
 ``_conditioned``, which answers a list of queries for a list of roots
-from one walk of their shared graph.  The variables of S on the top
-run of levels are branched on by pushing each root's path mass down
-through those levels; the pushes are made once, shallowest first, each
-extending the last.  One unforced bottom-up pass serves every query.
-A single variable x below that run is read off a slope: p(node) is
-linear in x's pair, so with D = dp(node)/dp(x=1),
+from one walk of their shared graph; every caller makes S a query with
+``_query``.  The variables of S on the top run of levels are branched
+on by pushing each root's path mass down through those levels; the
+pushes are made once, shallowest first, each extending the last.  One
+unforced bottom-up pass serves every query.  A single variable x below
+that run is read off a slope: p(node) is linear in x's pair, so with
+D = dp(node)/dp(x=1),
 
     p(f=1 | x=1) = p(node) + p(x=0) * D,  p(f=1 | x=0) = p(node) - p(x=1) * D,
 
@@ -27,10 +28,10 @@ and one top-down pass per depth, carrying the path mass of every node
 the roots' mass reaches there, gives D for every such node and every
 variable at once.  Each assignment to k >= 2 other variables of S is
 one forced pass that recomputes only the levels down to the deepest of
-them, 2^k passes in all.  ``conditional_entropy_var`` and
-``conditional_entropy_set`` ask one query; ``measure_report`` asks
-H(f), every H(f|x) and every subset in one call, and takes p(f=1) from
-the same unforced pass; entropy-guided reordering asks
+them, 2^k passes in all.  ``conditional_entropy_set`` asks one query
+(``conditional_entropy_var`` through it); ``measure_report`` asks H(f),
+every H(f|x) and every subset in one call, and takes p(f=1) from the
+same unforced pass; entropy-guided reordering asks
 H(f | placed prefix, x) for every candidate x of a level in one call
 over all roots.
 
@@ -282,18 +283,6 @@ def entropy(manager: BddManager, root: int,
     return _binary_entropy(weighted_sat_probability(manager, root, w))
 
 
-def _force(pairs: Sequence[tuple[float, float]],
-           assignment: Iterable[tuple[int, int]]) -> tuple[float, list[tuple[float, float]]]:
-    """The weight of a partial assignment of (variable, value), and
-    ``pairs`` with each assigned variable's pair pinned to its value."""
-    forced = list(pairs)
-    weight = 1.0
-    for var, value in assignment:
-        forced[var] = _FORCED[value]
-        weight *= pairs[var][value]
-    return weight, forced
-
-
 def _query(manager: BddManager, given: set[int]) -> tuple[int, tuple[int, ...]]:
     """The set ``given`` as a conditioning query (depth, rest): its top
     run of levels 0..depth-1, and its other variables by id."""
@@ -352,14 +341,16 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
 
     Each root's path mass is pushed down through the levels once, in
     place, and its frontier (the nodes the mass reaches) is kept at
-    every query depth.  One unforced bottom-up pass serves every query.
-    With one variable x in ``rest``, each frontier node u reads D_u[x]
-    from one slope pass per depth (``_slopes``), and
-    H(f_u | x) = p0 * h(p(u) - p1 * D_u) + p1 * h(p(u) + p0 * D_u).
-    With k >= 2, each assignment to them is one forced pass over a copy
-    of the unforced values, recomputing only the levels from ``depth``
-    down to the deepest of them: the nodes below never test them.  With
-    k = 0 the unforced values serve as they are.
+    every query depth.  One unforced bottom-up pass serves every query,
+    and each query takes one of two routes by the number k of variables
+    in ``rest``.  With k <= 1, each frontier node u gives h(p(u)) or, if
+    it reaches the one variable x, reads D_u[x] from one slope pass per
+    depth (``_slopes``) and gives
+    H(f_u | x) = p0 * h(p(u) - p1 * D_u) + p1 * h(p(u) + p0 * D_u);
+    k = 0 is this route with no slope.  With k >= 2, each assignment to
+    them is one forced pass over a copy of the unforced values,
+    recomputing only the levels from ``depth`` down to the deepest of
+    them: the nodes below never test them.
     """
     nodes, pairs, level = manager._node, w._pairs, manager._var_level
     if order is None:
@@ -392,22 +383,15 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
         slopes[depth] = _slopes(manager, order[start[depth]:start[bottom + 1]],
                                 sat, pairs, frontier)
 
-    def forced_passes(depth, rest):
-        if not rest:
-            yield 1.0, sat
-            return
-        part = order[start[depth]:start[max(level[v] for v in rest) + 1]]
-        for bits in itertools.product((0, 1), repeat=len(rest)):
-            weight, forced = _force(pairs, zip(rest, bits))
-            yield weight, _bottom_up(manager, part, forced, dict(sat))
-
     values = []
     for depth, rest in queries:
         totals = [0.0] * len(roots)
-        if len(rest) == 1:
-            (x,) = rest
-            p0, p1 = pairs[x]
-            slope = slopes[depth].get(x, {})
+        if len(rest) <= 1:
+            slope = {}              # no slope with no variable: p(u) as it is
+            if rest:
+                (x,) = rest
+                p0, p1 = pairs[x]
+                slope = slopes[depth].get(x, {})
             for i, frontier in enumerate(frontiers[depth]):
                 total = 0.0
                 for u, mass in frontier:
@@ -420,7 +404,14 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
                                          + p1 * _binary_entropy(p + p0 * d))
                 totals[i] = total
         else:
-            for weight, probs in forced_passes(depth, rest):
+            part = order[start[depth]:start[max(level[v] for v in rest) + 1]]
+            for bits in itertools.product((0, 1), repeat=len(rest)):
+                forced = list(pairs)
+                weight = 1.0
+                for var, value in zip(rest, bits):
+                    forced[var] = _FORCED[value]
+                    weight *= pairs[var][value]
+                probs = _bottom_up(manager, part, forced, dict(sat))
                 for i, frontier in enumerate(frontiers[depth]):
                     total = totals[i]
                     for u, mass in frontier:
@@ -433,10 +424,7 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
 def conditional_entropy_var(manager: BddManager, root: int, var: int,
                             w: VarProbabilities | None = None) -> float:
     """H(f|x) in bits: the weight-averaged entropies of f with x fixed."""
-    manager._check(root)
-    manager._check_var(var)
-    w = _check_weights(manager.n, w)
-    return _conditioned(manager, (root,), [_query(manager, {var})], w)[0][0]
+    return conditional_entropy_set(manager, root, (var,), w)
 
 
 def conditional_entropy_set(manager: BddManager, root: int,
@@ -457,8 +445,8 @@ def mutual_information(manager: BddManager, root: int, var: int,
     w = _check_weights(manager.n, w)
     manager._check(root)
     manager._check_var(var)
-    (h, hv), _ = _conditioned(manager, (root,),
-                              [(0, ()), _query(manager, {var})], w)
+    queries = [_query(manager, set()), _query(manager, {var})]
+    (h, hv), _ = _conditioned(manager, (root,), queries, w)
     return h - hv
 
 

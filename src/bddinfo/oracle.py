@@ -38,8 +38,10 @@ class TruthTable:
     bits: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("negative variable count")
+        # bool is an int subclass: True would silently mean one variable.
+        if isinstance(self.n, bool) or self.n < 0:
+            raise ValueError(
+                f"variable count must be a nonnegative int, got {self.n!r}")
         if self.bits < 0 or self.bits >> (1 << self.n):
             raise ValueError("table bits out of range for n")
 

@@ -114,20 +114,19 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
 
     Level by level, every still-unplaced variable is scored by the
     conditional entropy of the outputs given the already placed prefix
-    plus that variable; the minimizer (smallest variable id on ties) is
-    moved to the level through adjacent swaps.  ``roots`` (default: the
+    plus that variable, from one ``measures._conditioned`` call on
+    queries built by ``measures._query``, as ``conditional_entropy_set``
+    builds them; the minimizer (smallest variable id on ties) is moved
+    to the level through adjacent swaps.  ``roots`` (default: the
     registered roots) are registered; sizes count every registered root.
     """
     w = _check_weights(manager.n, weights)
 
     def search(roots: list[int]) -> Iterator[TraceStep]:
         for level in range(manager.n):
-            # H(f | placed prefix, x): the prefix plus x is a top run of
-            # levels when x sits on ``level``, else x is one variable
-            # below it.
+            placed = set(manager.order[:level])
             candidates = sorted(manager.order[level:])
-            top = manager.var_at_level(level)
-            queries = [(level + 1, ()) if var == top else (level, (var,))
+            queries = [measures._query(manager, placed | {var})
                        for var in candidates]
             # The unique tables hold only live nodes (the driver sweeps on
             # entry and swaps retire what they orphan), so they give the

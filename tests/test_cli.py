@@ -230,6 +230,15 @@ def test_vector_file(tmp_path, capsys):
     assert json.loads(out)[0]["order_after"] == "x1,x2,x3"
 
 
+def test_vector_file_of_bad_length(tmp_path, capsys):
+    path = tmp_path / "fn.txt"
+    path.write_text("100011\n")
+    code, out, err = run(capsys, "measures", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: truth vector length 6 is not a power of two\n"
+
+
 def test_node_limit_flag(capsys):
     code, _, err = run(capsys, "measures", C17, "--node-limit", "2")
     assert code == 1

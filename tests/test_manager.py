@@ -472,6 +472,9 @@ def test_bools_are_not_orders_or_levels(example1):
         BddManager(2, order=[True, False])
     with pytest.raises(ValueError):
         BddManager(3, order=[2, True, False])
+    for n in (True, False):
+        with pytest.raises(ValueError):
+            BddManager(n)
     manager, root = example1
     with pytest.raises(UsageError):
         manager.set_order([2, True, False])

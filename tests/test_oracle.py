@@ -210,6 +210,9 @@ def test_bdd_size_for_order_rejects_bools():
     for order in ([True, False, 2], [0, True, 2], [2, 1, False]):
         with pytest.raises(ValueError):
             bdd_size_for_order(tt, order)
+    for n in (True, False):
+        with pytest.raises(ValueError):
+            TruthTable(n, 1)
 
 
 def test_bdd_size_for_order_example1():
