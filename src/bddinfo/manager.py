@@ -342,19 +342,32 @@ class BddManager:
         """Sweep nodes unreachable from the registered roots.
 
         Returns the number of retired nodes.  Handles not covered by a
-        root are invalid afterwards; retired ids are never reused.
+        root are invalid afterwards; retired ids are never reused.  When
+        anything is dead, the node store, the unique tables and the
+        reference counts are rebuilt in place from the survivors, in
+        handle order, so the cost follows the live nodes, not the dead.
         """
         keep = self._reachable(self._roots)
-        dead = [u for u in self._node if u not in keep]
+        nodes = self._node
+        dead = len(nodes) - len(keep)
+        if not dead:
+            return 0
+        live = [(u, nodes[u]) for u in sorted(keep)]
+        nodes.clear()
+        unique = self._unique
+        for table in unique:
+            table.clear()
         refs = self._refs
-        for u in dead:
-            key = self._node.pop(u)
-            del self._unique[key[0]][key]
-            refs[key[1] & _SLOT] -= 1
-            refs[key[2] & _SLOT] -= 1
-        if dead:
-            self._cache.clear()
-        return len(dead)
+        refs[:] = array("I", (0,)) * len(refs)
+        for r in self._roots:
+            refs[r & _SLOT] += 1
+        for u, key in live:
+            nodes[u] = key
+            unique[key[0]][key] = u
+            refs[key[1] & _SLOT] += 1
+            refs[key[2] & _SLOT] += 1
+        self._cache.clear()
+        return dead
 
     # -- reordering substrate -----------------------------------------------
 

@@ -16,11 +16,15 @@ Every conditional entropy H(f|S) comes from one kernel,
 ``_conditioned``, which answers a list of queries for a list of roots
 from one walk of their shared graph; every caller makes S a query with
 ``_query``.  The variables of S on the top run of levels are branched
-on by pushing each root's path mass down through those levels; the
-pushes are made once, shallowest first, each extending the last.  One
-unforced bottom-up pass serves every query.  A single variable x below
-that run is read off a slope: p(node) is linear in x's pair, so with
-D = dp(node)/dp(x=1),
+on by pushing each root's path mass down through those levels
+(``_top_down``).  The kernel takes each root's mass as a frontier: the
+masses that the levels above some depth hand to the nodes below it,
+``{root: 1.0}`` at depth 0.  It pushes every frontier once, shallowest
+query first, each push extending the last.  Entropy-guided reordering
+carries each root's frontier from level to level, so the placed prefix
+is never pushed again.  One unforced bottom-up pass serves every
+query.  A single variable x below that run is read off a slope: p(node)
+is linear in x's pair, so with D = dp(node)/dp(x=1),
 
     p(f=1 | x=1) = p(node) + p(x=0) * D,  p(f=1 | x=0) = p(node) - p(x=1) * D,
 
@@ -33,7 +37,7 @@ them, 2^k passes in all.  ``conditional_entropy_set`` asks one query
 every H(f|x) and every subset in one call, and takes p(f=1) from the
 same unforced pass; entropy-guided reordering asks
 H(f | placed prefix, x) for every candidate x of a level in one call
-over all roots.
+over the frontiers of all roots.
 
 All passes are loops, not recursions, and measures build no nodes:
 they work under any node_limit and leave len(manager) unchanged.
@@ -189,12 +193,17 @@ def _bottom_up(manager: BddManager, order: list[int],
 
 
 def _top_down(manager: BddManager, reach: dict[int, float], order: list[int],
-              pairs: Sequence[tuple[float, float]]) -> dict[int, float]:
+              pairs: Sequence[tuple[float, float]],
+              keep: bool = False) -> dict[int, float]:
     """Push the path masses in ``reach`` down through the level-sorted
-    ``order``, in place; nodes that carry no mass are skipped."""
+    ``order``, in place; nodes that carry no mass are skipped.  Each
+    node that hands its mass on to its children leaves ``reach``, so
+    ``reach`` ends as the frontier below ``order``, unless ``keep``
+    leaves every node's mass in it."""
     nodes = manager._node
+    take = reach.get if keep else reach.pop
     for u in order:
-        mass = reach.get(u)
+        mass = take(u, None)
         if mass is None:
             continue
         var, lo, hi = nodes[u]
@@ -228,7 +237,8 @@ def reach_probabilities(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager.n, w)
-    return _top_down(manager, {root: 1.0}, _levelled(manager, (root,)), w._pairs)
+    return _top_down(manager, {root: 1.0}, _levelled(manager, (root,)), w._pairs,
+                     keep=True)
 
 
 def all_joint_probabilities(manager: BddManager, root: int,
@@ -245,7 +255,7 @@ def all_joint_probabilities(manager: BddManager, root: int,
     w = _check_weights(manager.n, w)
     order = _levelled(manager, (root,))
     sat = _bottom_up(manager, order, w._pairs)
-    reach = _top_down(manager, {root: 1.0}, order, w._pairs)
+    reach = _top_down(manager, {root: 1.0}, order, w._pairs, keep=True)
     nodes = manager._node
     p_one = sat[root]
     through: dict[int, float] = {}
@@ -327,6 +337,7 @@ def _slopes(manager: BddManager, order: list[int], sat: dict[int, float],
 def _conditioned(manager: BddManager, roots: Sequence[int],
                  queries: Sequence[tuple[int, tuple[int, ...]]],
                  w: VarProbabilities, order: list[int] | None = None,
+                 reaches: Sequence[dict[int, float]] | None = None,
                  ) -> tuple[list[float], dict[int, float]]:
     """For each query (depth, rest), the sum over ``roots`` (in order,
     duplicates counted) of H(f | the variables on levels < depth, and
@@ -334,18 +345,25 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
     returns the unforced node probabilities of every level from the
     shallowest query depth down.
 
-    ``order`` lists the nodes level by level, ties by handle; it must
-    hold every node the roots reach, and nodes they do not reach carry
-    no mass, so they change no value.  By default it is the roots' own,
-    from one walk.
+    ``reaches`` holds each root's frontier: the path masses that the
+    levels above some depth hand to the nodes at or below it; by
+    default ``{root: 1.0}``, the frontier at depth 0.  No query may be
+    shallower than a frontier.  The frontiers are pushed down in place
+    (``_top_down``), shallowest query depth first, each push extending
+    the last, and end at the deepest query depth.
 
-    Each root's path mass is pushed down through the levels once, in
-    place, and its frontier (the nodes the mass reaches) is kept at
-    every query depth.  One unforced bottom-up pass serves every query,
-    and each query takes one of two routes by the number k of variables
-    in ``rest``.  With k <= 1, each frontier node u gives h(p(u)) or, if
-    it reaches the one variable x, reads D_u[x] from one slope pass per
-    depth (``_slopes``) and gives
+    ``order`` lists the nodes level by level, ties by handle, from the
+    frontiers' depth down; it must hold every node the roots' mass
+    reaches there, and nodes it does not reach change no value.  By
+    default it is the roots' own, from one walk.
+
+    At each query depth, a frontier's nodes are read from its dict by
+    (level, handle), terminals left out: they have no entropy.  One
+    unforced bottom-up pass serves every query, and each query takes
+    one of two routes by the number k of variables in ``rest``.  With
+    k <= 1, each frontier node u gives h(p(u)) or, if it reaches the one
+    variable x, reads D_u[x] from one slope pass per depth (``_slopes``)
+    and gives
     H(f_u | x) = p0 * h(p(u) - p1 * D_u) + p1 * h(p(u) + p0 * D_u);
     k = 0 is this route with no slope.  With k >= 2, each assignment to
     them is one forced pass over a copy of the unforced values,
@@ -355,18 +373,20 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
     nodes, pairs, level = manager._node, w._pairs, manager._var_level
     if order is None:
         order = _levelled(manager, roots)
+    if reaches is None:
+        reaches = [{root: 1.0} for root in roots]
     levels = [level[nodes[u][0]] for u in order]
     start = [bisect.bisect_left(levels, at) for at in range(manager.n + 1)]
     depths = sorted({depth for depth, _ in queries})
-    reaches = [{root: 1.0} for root in roots]
     frontiers = {}
     pushed = 0
     for depth in depths:
-        part, below = order[start[pushed]:start[depth]], order[start[depth]:]
+        part = order[start[pushed]:start[depth]]
+        frontiers[depth] = []
         for reach in reaches:
             _top_down(manager, reach, part, pairs)
-        frontiers[depth] = [[(u, reach[u]) for u in below if u in reach]
-                            for reach in reaches]
+            ranked = sorted((level[nodes[u][0]], u) for u in reach if u in nodes)
+            frontiers[depth].append([(u, reach[u]) for _, u in ranked])
         pushed = depth
     sat = _bottom_up(manager, order[start[depths[0]]:], pairs)
 

@@ -76,6 +76,7 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     for r in roots:
         if r not in registered:
             manager.register_root(r)
+            registered.add(r)
     manager.collect_garbage()
     kept = list(manager.registered_roots)
     tabulate = manager.n <= _EXHAUSTIVE_CHECK_VARS
@@ -119,10 +120,19 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
     builds them; the minimizer (smallest variable id on ties) is moved
     to the level through adjacent swaps.  ``roots`` (default: the
     registered roots) are registered; sizes count every registered root.
+
+    Each root's frontier, the path masses the placed prefix hands to
+    the nodes below it, is carried from level to level and pushed
+    through one level at a time.  Moving a variable to level L swaps
+    only levels L and below, and every node keeps its handle and its
+    function, so the prefix and the masses it hands down stay as they
+    were.  The masses are added in the order a push from the root adds
+    them, so every score is the float ``conditional_entropy_set`` gives.
     """
     w = _check_weights(manager.n, weights)
 
     def search(roots: list[int]) -> Iterator[TraceStep]:
+        reaches = [{root: 1.0} for root in roots]
         for level in range(manager.n):
             placed = set(manager.order[:level])
             candidates = sorted(manager.order[level:])
@@ -131,14 +141,24 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
             # The unique tables hold only live nodes (the driver sweeps on
             # entry and swaps retire what they orphan), so they give the
             # level order without a walk.
-            order = [u for var in manager._level_var
+            order = [u for var in manager._level_var[level:]
                      for u in sorted(manager._unique[var].values())]
-            values, _ = measures._conditioned(manager, roots, queries, w, order)
+            # The deepest query, (level + 1, ()) for the variable on the
+            # level, leaves the copies pushed through the level.
+            below = [dict(reach) for reach in reaches]
+            values, _ = measures._conditioned(manager, roots, queries, w, order,
+                                              below)
             scored = list(zip(candidates, values))
             best = min(score for _, score in scored)
             group = [var for var, score in scored if score <= best + _TIE_TOL]
             chosen = min(group)
-            manager.move_var(chosen, level)
+            if chosen == manager._level_var[level]:
+                reaches = below
+            else:
+                manager.move_var(chosen, level)
+                part = sorted(manager._unique[chosen].values())
+                for reach in reaches:
+                    measures._top_down(manager, reach, part, w._pairs)
             yield TraceStep(level=level, scores=scored, chosen=chosen,
                             tie=len(group) > 1, size_after=len(manager))
 

@@ -489,6 +489,51 @@ def test_bools_are_not_orders_or_levels(example1):
     assert enumerate_bdd(manager, root).to_string() == EXAMPLE1_VECTOR
 
 
+def _reference_sweep(m):
+    """Retire every node unreachable from the registered roots, one at a
+    time, releasing its children's references."""
+    keep = m._reachable(m._roots)
+    dead = [u for u in m._node if u not in keep]
+    for u in dead:
+        key = m._node.pop(u)
+        del m._unique[key[0]][key]
+        m._refs[key[1] & _SLOT] -= 1
+        m._refs[key[2] & _SLOT] -= 1
+    return len(dead)
+
+
+def test_sweep_matches_retiring_one_node_at_a_time(rng):
+    """The sweep that rebuilds the store from the survivors leaves the
+    same node store, in the same order, the same tables and the same
+    reference counts as retiring each dead node in turn, after build
+    garbage, swaps and a root registered twice; a sweep with nothing
+    dead keeps the operation cache."""
+    for trial in range(40):
+        n = rng.randint(1, 7)
+        m = BddManager(n)
+        for _ in range(rng.randint(0, 3)):
+            m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+        if trial % 3 == 0:
+            m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+            m.register_root(m.registered_roots[-1])
+        for _ in range(rng.randint(0, 3)):
+            m.build_from_truth_vector(random_function(rng, n))   # garbage
+        for _ in range(rng.randint(0, 12) if n > 1 else 0):
+            m.swap_adjacent_levels(rng.randrange(n - 1))
+        ref = m.clone()
+        assert m.collect_garbage() == _reference_sweep(ref)
+        assert list(m._node.items()) == list(ref._node.items())
+        assert m._unique == ref._unique
+        assert m._refs == ref._refs
+        assert_manager_consistent(m)
+        x = m.register_root(m.literal(0))
+        m.apply(XOR, x, m.register_root(m.literal(0, 0)))   # ONE, no new node
+        cache = dict(m._cache)
+        assert cache
+        assert m.collect_garbage() == 0
+        assert m._cache == cache
+
+
 def test_collect_garbage_drops_unregistered():
     m = BddManager(3)
     keep = m.register_root(m.build_from_truth_vector("10001111"))

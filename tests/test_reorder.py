@@ -11,6 +11,7 @@ from bddinfo import (
     conditional_entropy_var, enumerate_bdd, exact_measures, info_reorder,
     measure_report, sift, weighted_sat_probability, window_permute,
 )
+from bddinfo import measures
 from bddinfo.cli import load_circuit
 from bddinfo.measures import _conditioned
 from bddinfo.reorder import TraceStep, _plain_changes, _run
@@ -197,30 +198,61 @@ def test_slope_kernel_matches_forced_passes_and_oracle(rng):
 
 
 def test_info_scores_leave_out_unscored_registered_roots(rng):
-    """Scoring f alone while g is also registered gives, float for float,
-    f's own conditional_entropy_set scores: g's nodes sit in the level
-    order read from the unique tables but carry no mass."""
-    for trial in range(8):
-        n = rng.randint(3, 7)
+    """Scoring some roots while g is also registered gives, float for
+    float, the sum of their own conditional_entropy_set scores: g's
+    nodes sit in the level order read from the unique tables but carry
+    no mass.  On 10-12 variables the scored roots are f, a terminal and
+    f again, under 0/1 and inexact weight pairs, and chosen variables
+    come up several levels, rewriting every level in between: the
+    frontiers carried from level to level are checked on such moves."""
+    longest = 0
+    for trial in range(11):
+        n = rng.randint(3, 7) if trial < 8 else trial + 2
         order = list(range(n))
         rng.shuffle(order)
         m = BddManager(n, order=order)
         f, g = (m.register_root(m.build_from_truth_vector(random_function(rng, n)))
                 for _ in range(2))
-        w = None if trial % 2 else VarProbabilities(
-            [(1.0 - p, p) for p in (rng.choice((0.0, 0.25, 0.5, 0.875, 1.0))
-                                    for _ in range(n))])
+        roots = [f] if n <= 7 else [f, ONE, f]
+        w = None
+        if n > 7 or trial % 2 == 0:
+            ps = (0.0, 0.25, 0.5, 0.875, 1.0) if n <= 7 else (0.0, 0.1, 0.7, 1.0)
+            w = VarProbabilities([(1.0 - p, p) for p in (rng.choice(ps)
+                                                         for _ in range(n))])
         replay = m.clone()          # same handles, so the same level order
-        trace = info_reorder(m, roots=[f], weights=w)
+        trace = info_reorder(m, roots=roots, weights=w)
         replay.collect_garbage()
         assert replay.count_nodes([f]) < len(replay)
         for step in trace.steps:
             prefix = list(replay.order[:step.level])
             assert step.scores == [
-                (x, conditional_entropy_set(replay, f, prefix + [x], w))
+                (x, sum(conditional_entropy_set(replay, r, prefix + [x], w)
+                        for r in roots))
                 for x in sorted(replay.order[step.level:])]
+            longest = max(longest, replay.level_of_var(step.chosen) - step.level)
             replay.move_var(step.chosen, step.level)
         assert replay.order == m.order
+    assert longest >= 4
+
+
+def test_duplicate_explicit_roots_are_registered_once(rng):
+    """A root listed twice is registered once, yet scored twice."""
+    n = 6
+    m = BddManager(n)
+    f = m.build_from_truth_vector(random_function(rng, n))
+    w = VarProbabilities([(0.25, 0.75)] * n)
+    replay = m.clone()
+    trace = info_reorder(m, roots=[f, f], weights=w)
+    assert m.registered_roots == (f,)
+    assert_manager_consistent(m)
+    replay.register_root(f)
+    replay.collect_garbage()
+    for step in trace.steps:
+        prefix = list(replay.order[:step.level])
+        assert step.scores == [
+            (x, conditional_entropy_set(replay, f, prefix + [x], w) * 2)
+            for x in sorted(replay.order[step.level:])]
+        replay.move_var(step.chosen, step.level)
 
 
 def test_rootless_scores_are_floats():
@@ -252,6 +284,27 @@ def test_info_reorder_walks_the_graph_once_per_level(rng, monkeypatch):
     monkeypatch.setattr(BddManager, "_reachable", counted)
     info_reorder(m)
     assert len(walks) <= n + 1
+
+
+def test_info_reorder_pushes_each_root_through_each_level_at_most_twice(
+        rng, monkeypatch):
+    """Each root's frontier is carried from level to level: its mass
+    crosses at most 2n levels over the whole run, where pushing it from
+    the root on every level crosses n(n+1)/2.  A count, not a timing."""
+    n = 12
+    m = BddManager(n)
+    for _ in range(3):
+        m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+    crossed = []
+    top_down = measures._top_down
+
+    def counted(manager, reach, order, *args, **kwargs):
+        crossed.append(len({manager.level_of(u) for u in order}))
+        return top_down(manager, reach, order, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "_top_down", counted)
+    info_reorder(m)
+    assert sum(crossed) <= 3 * 2 * n
 
 
 def test_level0_choice_is_conditional_entropy_argmin(rng):
