@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import random
 import sys
 import time
@@ -37,7 +38,6 @@ class LoadedCircuit:
     manager: BddManager
     outputs: list[tuple[str, int]]      # (name, root)
     input_names: list[str]
-    netlist: netlist_mod.Netlist | None
 
 
 def _sniff_format(path: str, text: str) -> str:
@@ -73,15 +73,13 @@ def load_circuit(path: str, node_limit: int | None = None) -> LoadedCircuit:
         manager.register_root(root)
         return LoadedCircuit(name=stem, manager=manager,
                              outputs=[("f", root)],
-                             input_names=[f"x{i + 1}" for i in range(n)],
-                             netlist=None)
+                             input_names=[f"x{i + 1}" for i in range(n)])
     parsed = netlist_mod.parse_blif(text) if kind == "blif" else netlist_mod.parse_pla(text)
     manager = netlist_mod.manager_for(parsed, node_limit=node_limit)
     roots = netlist_mod.build_circuit_bdds(parsed, manager)
     outputs = [(name, roots[name]) for name in parsed.cut_outputs]
     return LoadedCircuit(name=parsed.name or stem, manager=manager,
-                         outputs=outputs, input_names=parsed.cut_inputs,
-                         netlist=parsed)
+                         outputs=outputs, input_names=parsed.cut_inputs)
 
 
 # -- deterministic emitters ---------------------------------------------------
@@ -99,8 +97,7 @@ def _json_scalar(value) -> str:
         return _fmt6(value)
     if isinstance(value, int):
         return str(value)
-    escaped = (str(value).replace("\\", "\\\\").replace('"', '\\"'))
-    return f'"{escaped}"'
+    return json.dumps(str(value), ensure_ascii=False)
 
 
 def _json_value(value) -> str:
@@ -299,10 +296,10 @@ def _cmd_oracle_check(args, out) -> int:
                 k = rng.randint(1, min(3, n))
                 subsets.append(tuple(sorted(rng.sample(range(n), k))))
         report = oracle_mod.exact_measures(tt, subsets=tuple(subsets))
+        bdd = measures_mod.measure_report(manager, root, subsets=subsets)
         profile = measures_mod.all_joint_probabilities(manager, root)
         expect(f"{out_name}: p(f=1)", profile.sat, float(tt.sat_probability()))
-        expect(f"{out_name}: H(f)",
-               measures_mod.entropy(manager, root), report.entropy)
+        expect(f"{out_name}: H(f)", bdd.entropy, report.entropy)
         uniform = VarProbabilities.uniform(n)
         for var in range(n):
             var_name = circuit.input_names[var]
@@ -317,12 +314,11 @@ def _cmd_oracle_check(args, out) -> int:
                     manager, root, uniform.forced(var, b))
                 expect(f"{out_name}: forced-weight p(f=1|{var_name}={b})",
                        forced, profile.conditional[var][b])
-            expect(f"{out_name}: H(f|{var_name})",
-                   measures_mod.conditional_entropy_var(manager, root, var),
+            expect(f"{out_name}: H(f|{var_name})", bdd.cond_entropy[var],
                    report.cond_entropy[var])
         for subset in subsets:
-            got = measures_mod.conditional_entropy_set(manager, root, subset)
-            expect(f"{out_name}: H(f|{subset})", got, report.set_entropy[subset])
+            expect(f"{out_name}: H(f|{subset})", bdd.set_entropy[subset],
+                   report.set_entropy[subset])
     if failures:
         for line in failures:
             out.write("MISMATCH " + line + "\n")

@@ -118,10 +118,6 @@ class BddManager:
 
     # -- structural queries -------------------------------------------------
 
-    def is_terminal(self, ref: int) -> bool:
-        self._check(ref)
-        return ref == ZERO or ref == ONE
-
     def node(self, ref: int) -> tuple[int, int, int]:
         """Return (var, lo, hi) of an internal node."""
         self._check(ref)
@@ -592,8 +588,8 @@ def _coerce_bits(bits) -> list[int]:
         for ch in bits:
             if ch not in "01":
                 raise InputError(f"truth vector character {ch!r} is not 0/1")
-            vec.append(ch == "1")
-        return [int(b) for b in vec]
+            vec.append(int(ch))
+        return vec
     vec = []
     for b in bits:
         if b not in (0, 1, False, True):

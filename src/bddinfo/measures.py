@@ -19,12 +19,12 @@ from one walk of their shared graph; every caller makes S a query with
 on by pushing each root's path mass down through those levels
 (``_top_down``).  The kernel takes each root's mass as a frontier: the
 masses that the levels above some depth hand to the nodes below it,
-``{root: 1.0}`` at depth 0.  It pushes every frontier once, shallowest
-query first, each push extending the last.  Entropy-guided reordering
-carries each root's frontier from level to level, so the placed prefix
-is never pushed again.  One unforced bottom-up pass serves every
-query.  A single variable x below that run is read off a slope: p(node)
-is linear in x's pair, so with D = dp(node)/dp(x=1),
+``{root: 1.0}`` at depth 0.  It pushes a copy of each frontier once,
+shallowest query first, each push extending the last.  Entropy-guided
+reordering carries and advances each root's frontier itself, so the
+placed prefix is never pushed again.  One unforced bottom-up pass
+serves every query.  A single variable x below that run is read off a
+slope: p(node) is linear in x's pair, so with D = dp(node)/dp(x=1),
 
     p(f=1 | x=1) = p(node) + p(x=0) * D,  p(f=1 | x=0) = p(node) - p(x=1) * D,
 
@@ -348,9 +348,9 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
     ``reaches`` holds each root's frontier: the path masses that the
     levels above some depth hand to the nodes at or below it; by
     default ``{root: 1.0}``, the frontier at depth 0.  No query may be
-    shallower than a frontier.  The frontiers are pushed down in place
+    shallower than a frontier.  Copies of the frontiers are pushed down
     (``_top_down``), shallowest query depth first, each push extending
-    the last, and end at the deepest query depth.
+    the last; the caller's dicts are left unchanged.
 
     ``order`` lists the nodes level by level, ties by handle, from the
     frontiers' depth down; it must hold every node the roots' mass
@@ -373,8 +373,8 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
     nodes, pairs, level = manager._node, w._pairs, manager._var_level
     if order is None:
         order = _levelled(manager, roots)
-    if reaches is None:
-        reaches = [{root: 1.0} for root in roots]
+    reaches = ([{root: 1.0} for root in roots] if reaches is None
+               else [dict(reach) for reach in reaches])
     levels = [level[nodes[u][0]] for u in order]
     start = [bisect.bisect_left(levels, at) for at in range(manager.n + 1)]
     depths = sorted({depth for depth, _ in queries})

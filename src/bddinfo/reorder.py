@@ -122,12 +122,13 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
     registered roots) are registered; sizes count every registered root.
 
     Each root's frontier, the path masses the placed prefix hands to
-    the nodes below it, is carried from level to level and pushed
-    through one level at a time.  Moving a variable to level L swaps
-    only levels L and below, and every node keeps its handle and its
-    function, so the prefix and the masses it hands down stay as they
-    were.  The masses are added in the order a push from the root adds
-    them, so every score is the float ``conditional_entropy_set`` gives.
+    the nodes below it, is carried from level to level: once the chosen
+    variable is on the level, the frontier is pushed through its nodes
+    in handle order.  Moving a variable to level L swaps only levels L
+    and below, and every node keeps its handle and its function, so the
+    prefix and the masses it hands down stay as they were.  The masses
+    are added in the order a push from the root adds them, so every
+    score is the float ``conditional_entropy_set`` gives.
     """
     w = _check_weights(manager.n, weights)
 
@@ -143,22 +144,16 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
             # level order without a walk.
             order = [u for var in manager._level_var[level:]
                      for u in sorted(manager._unique[var].values())]
-            # The deepest query, (level + 1, ()) for the variable on the
-            # level, leaves the copies pushed through the level.
-            below = [dict(reach) for reach in reaches]
             values, _ = measures._conditioned(manager, roots, queries, w, order,
-                                              below)
+                                              reaches)
             scored = list(zip(candidates, values))
             best = min(score for _, score in scored)
             group = [var for var, score in scored if score <= best + _TIE_TOL]
             chosen = min(group)
-            if chosen == manager._level_var[level]:
-                reaches = below
-            else:
-                manager.move_var(chosen, level)
-                part = sorted(manager._unique[chosen].values())
-                for reach in reaches:
-                    measures._top_down(manager, reach, part, w._pairs)
+            manager.move_var(chosen, level)
+            part = sorted(manager._unique[chosen].values())
+            for reach in reaches:
+                measures._top_down(manager, reach, part, w._pairs)
             yield TraceStep(level=level, scores=scored, chosen=chosen,
                             tie=len(group) > 1, size_after=len(manager))
 
@@ -234,7 +229,7 @@ def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
     same amount as on that visit, where none was smaller than the one
     it left.  The current arrangement wins ties, so the visit would
     change nothing: skipping it changes no result and no step."""
-    if window not in (2, 3, 4):
+    if not isinstance(window, int) or window not in (2, 3, 4):
         raise ValueError(f"window must be 2, 3 or 4, got {window}")
     if window > manager.n:
         raise ValueError(f"window {window} exceeds {manager.n} variables")

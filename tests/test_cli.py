@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -167,9 +168,13 @@ def test_oracle_check(capsys):
 
 def test_oracle_check_mismatch_exits_3(capsys, monkeypatch):
     import bddinfo.cli as cli_mod
-    real = cli_mod.measures_mod.entropy
-    monkeypatch.setattr(cli_mod.measures_mod, "entropy",
-                        lambda *a, **k: real(*a, **k) + 0.001)
+    real = cli_mod.measures_mod.measure_report
+
+    def skewed(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, entropy=report.entropy + 0.001)
+
+    monkeypatch.setattr(cli_mod.measures_mod, "measure_report", skewed)
     code, out, _ = run(capsys, "oracle-check", EXAMPLE1)
     assert code == 3
     assert "MISMATCH" in out
@@ -275,3 +280,36 @@ def test_stdout_matches_golden(capsys, circuit, argv, golden):
     code, out, _ = run(capsys, argv[0], str(DATA / f"{circuit}.blif"), *argv[1:])
     assert code == 0
     assert out == (GOLDEN / golden.format(circuit)).read_text(encoding="utf-8")
+
+
+def test_oracle_check_asks_the_kernel_once_per_output(capsys, monkeypatch):
+    import bddinfo.cli as cli_mod
+    real = cli_mod.measures_mod._conditioned
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.measures_mod, "_conditioned", counted)
+    code, out, _ = run(capsys, "oracle-check", C17)
+    assert code == 0
+    assert "on 2 outputs" in out
+    assert [len(roots) for roots in calls] == [1, 1]
+
+
+def test_json_names_with_control_characters(tmp_path, capsys):
+    path = tmp_path / "odd.blif"
+    path.write_text(".model odd\n.inputs a\x01b c\n.outputs q\x02\n"
+                    ".names a\x01b c q\x02\n11 1\n.end\n", encoding="utf-8")
+    code, out, _ = run(capsys, "measures", str(path), "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert {row["output"] for row in rows} == {"q\x02"}
+    assert [row["variable"] for row in rows] == ["", "a\x01b", "c"]
+    code, out, _ = run(capsys, "reorder", str(path), "--method", "info",
+                       "--trace", "--format", "json")
+    assert code == 0
+    record = json.loads(out)[0]
+    assert record["order_before"] == "a\x01b,c"
+    assert record["steps"][0]["scores"][0][0] == "a\x01b"

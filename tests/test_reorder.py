@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,22 @@ def test_conditioned_equals_summed_set_conditionals(rng):
             for subset in subsets:
                 assert report.set_entropy[tuple(sorted(set(subset)))] == \
                     conditional_entropy_set(m, root, subset, w)
+
+
+def test_conditioned_leaves_the_given_frontiers_unchanged(rng):
+    """The kernel pushes copies: frontiers handed in come back as they
+    were when every query lies below them, and asking again gives the
+    same values as asking from the roots."""
+    n = 6
+    m, roots = _shared_roots(rng, n)
+    w = VarProbabilities([(0.25, 0.75)] * n)
+    order = list(m.order)
+    queries = [(1, ()), (2, (order[4],)), (1, (order[3], order[5])), (n, ())]
+    reaches = [{root: 1.0} for root in roots]
+    first = _conditioned(m, roots, queries, w, reaches=reaches)
+    assert reaches == [{root: 1.0} for root in roots]
+    assert _conditioned(m, roots, queries, w, reaches=reaches) == first
+    assert _conditioned(m, roots, queries, w) == first
 
 
 def _h(p):
@@ -305,6 +322,55 @@ def test_info_reorder_pushes_each_root_through_each_level_at_most_twice(
     monkeypatch.setattr(measures, "_top_down", counted)
     info_reorder(m)
     assert sum(crossed) <= 3 * 2 * n
+
+
+def _info_trace_lines():
+    """One line per ``info_reorder`` step: input, weighting, level,
+    chosen variable, tie flag, size after, and every score as
+    ``float.hex()``.  The inputs are three circuit files and three seeded
+    random managers (n = 10-12, 2-3 roots, shuffled orders), each run
+    from the same start under uniform weights and two seeded weightings.
+    Weights in multiples of 1/16 keep every path mass exact up to 13
+    levels, so no mass depends on the order it is added in; weights in
+    multiples of 1/5 are inexact, and there that order shows."""
+    inputs = []
+    for name in ("example1", "c17", "s27"):
+        circuit = load_circuit(str(DATA / f"{name}.blif"))
+        inputs.append((name, circuit.manager, [r for _, r in circuit.outputs]))
+    for seed, n, count in ((1, 10, 2), (2, 11, 3), (3, 12, 3)):
+        rng = random.Random(seed)
+        order = list(range(n))
+        rng.shuffle(order)
+        m = BddManager(n, order=order)
+        roots = [m.register_root(m.build_from_truth_vector(
+            format(rng.getrandbits(1 << n), f"0{1 << n}b"))) for _ in range(count)]
+        inputs.append((f"random{seed}", m, roots))
+    lines = []
+    for name, m, roots in inputs:
+        weightings = [("uniform", None)]
+        for den in (16, 5):
+            rng = random.Random(name)
+            ps = [rng.randint(1, den - 1) / den for _ in range(m.n)]
+            weightings.append((f"1/{den}", VarProbabilities([(1.0 - p, p)
+                                                             for p in ps])))
+        for label, w in weightings:
+            trace = info_reorder(m.clone(), roots=roots, weights=w)
+            for step in trace.steps:
+                scores = " ".join(f"{var}:{score.hex()}"
+                                  for var, score in step.scores)
+                lines.append(f"{name} {label} {step.level} {step.chosen} "
+                             f"{int(step.tie)} {step.size_after} {scores}")
+    return lines
+
+
+def test_info_traces_match_golden_floats():
+    """Every score, bit for bit, against a file frozen from an earlier
+    build: the tests that compare with ``conditional_entropy_set`` share
+    its kernel, so only a frozen file pins the order in which path
+    masses are added.  The file holds ``_info_trace_lines()``, one line
+    each, after one ``#`` header line."""
+    golden = (DATA / "golden" / "info_traces.txt").read_text(encoding="utf-8")
+    assert _info_trace_lines() == golden.splitlines()[1:]
 
 
 def test_level0_choice_is_conditional_entropy_argmin(rng):
@@ -592,6 +658,8 @@ def test_window_validation(example1):
     manager, _ = example1
     with pytest.raises(ValueError):
         window_permute(manager, window=5)
+    with pytest.raises(ValueError):
+        window_permute(manager, window=2.0)
     with pytest.raises(ValueError):
         window_permute(manager, window=4)   # only 3 variables
 
