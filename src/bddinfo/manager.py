@@ -75,10 +75,7 @@ class BddManager:
 
     def __init__(self, n: int, order: Sequence[int] | None = None,
                  node_limit: int | None = None):
-        # bool is an int subclass: True would silently mean one variable.
-        if isinstance(n, bool) or n < 0:
-            raise ValueError(f"variable count must be a nonnegative int, got {n!r}")
-        self.n = n
+        self.n = _index(n, None, ValueError, "variable count")
         if order is None:
             order = range(n)
         order = _permutation(order, n, ValueError)
@@ -109,12 +106,10 @@ class BddManager:
         return tuple(self._level_var)
 
     def level_of_var(self, var: int) -> int:
-        self._check_var(var)
-        return self._var_level[var]
+        return self._var_level[self._check_var(var)]
 
     def var_at_level(self, level: int) -> int:
-        self._check_level(level)
-        return self._level_var[level]
+        return self._level_var[self._check_level(level)]
 
     # -- structural queries -------------------------------------------------
 
@@ -135,8 +130,7 @@ class BddManager:
     def level_of(self, ref: int) -> int:
         """Level of the node's variable; terminals sit at level n."""
         self._check(ref)
-        t = self._node.get(ref)
-        return self.n if t is None else self._var_level[t[0]]
+        return self._ref_level(ref)
 
     # -- construction -------------------------------------------------------
 
@@ -179,7 +173,7 @@ class BddManager:
 
     def literal(self, var: int, phase: int = 1) -> int:
         """BDD of the variable itself (phase 1) or its complement (phase 0)."""
-        if phase:
+        if _index(phase, 2, UsageError, "phase"):
             return self.mk_node(var, ZERO, ONE)
         return self.mk_node(var, ONE, ZERO)
 
@@ -250,9 +244,8 @@ class BddManager:
         ``copy_function`` rebuilds the rest from that memo, iteratively."""
         self._check(a)
         self._check_var(var)
-        if value not in (0, 1):
-            raise UsageError(f"value must be 0 or 1, got {value!r}")
-        memo = {u: key[2 if value else 1]
+        value = _index(value, 2, UsageError, "value")
+        memo = {u: key[1 + value]
                 for key, u in self._unique[var].items()}
         return copy_function(self, a, self, memo)
 
@@ -379,8 +372,7 @@ class BddManager:
         when the worst case (two new nodes per node at ``level``) would
         pass ``node_limit``.  Operation caches are invalidated.
         """
-        if isinstance(level, bool) or not 0 <= level < self.n - 1:
-            raise UsageError(f"level {level} out of range for swapping")
+        _index(level, self.n - 1, UsageError, "swap level")
         x = self._level_var[level]
         y = self._level_var[level + 1]
         xtable = self._unique[x]
@@ -522,16 +514,11 @@ class BddManager:
             raise ManagerMismatchError(
                 f"handle {ref!r} does not belong to this manager")
 
-    def _check_level(self, level: int) -> None:
-        # bool is an int subclass: True would silently mean level 1.
-        if isinstance(level, bool) or not 0 <= level < self.n:
-            raise UsageError(f"level {level} out of range")
+    def _check_level(self, level: int) -> int:
+        return _index(level, self.n, UsageError, "level")
 
-    def _check_var(self, var: int) -> None:
-        # bool is an int subclass: True would silently mean variable 1.
-        if not isinstance(var, int) or isinstance(var, bool) \
-                or not 0 <= var < self.n:
-            raise UsageError(f"unknown variable {var!r}")
+    def _check_var(self, var: int) -> int:
+        return _index(var, self.n, UsageError, "variable")
 
 
 def copy_function(src: BddManager, ref: int, dst: BddManager,
@@ -598,10 +585,22 @@ def _coerce_bits(bits) -> list[int]:
     return vec
 
 
+def _index(value, stop: int | None, error: type[Exception], what: str) -> int:
+    """``value`` if it is an int, not a bool (True would mean 1), in
+    ``range(stop)``, or nonnegative when ``stop`` is None; otherwise
+    raise ``error`` naming ``what``.  The one rule for every variable
+    count, variable, level, order entry and bit."""
+    if isinstance(value, int) and not isinstance(value, bool) \
+            and 0 <= value and (stop is None or value < stop):
+        return value
+    bound = "a nonnegative int" if stop is None else f"an int in range({stop})"
+    raise error(f"{what} must be {bound}, got {value!r}")
+
+
 def _permutation(order: Iterable[int], n: int, error: type[Exception]) -> list[int]:
-    """``order`` as a list, if it is a permutation of 0..n-1 without bools
-    (True would compare equal to 1); otherwise raise ``error``."""
-    order = list(order)
-    if any(isinstance(v, bool) for v in order) or sorted(order) != list(range(n)):
+    """``order`` as a list, if it is a permutation of 0..n-1 whose every
+    entry passes ``_index``; otherwise raise ``error``."""
+    order = [_index(var, n, error, "order entry") for var in order]
+    if sorted(order) != list(range(n)):
         raise error(f"order must be a permutation of 0..{n - 1}")
     return order

@@ -54,10 +54,11 @@ import bisect
 import functools
 import itertools
 import math
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .manager import ONE, ZERO, BddManager
+from .manager import ONE, ZERO, BddManager, _index
 
 _PAIR_TOL = 1e-12
 _FORCED = ((1.0, 0.0), (0.0, 1.0))      # a weight pair pinned to x=0 / x=1
@@ -70,18 +71,26 @@ class WeightError(ValueError):
 class VarProbabilities:
     """Per-variable input distribution: (p(x=0), p(x=1)) for each variable.
 
-    Pairs must sum to 1 within 1e-12.  Instances are immutable; use
-    :meth:`forced` to derive the pinned distributions used for
-    conditional queries.
+    Each pair is two real numbers, not bools, in [0, 1] that sum to 1
+    within 1e-12; anything else raises WeightError.  Instances are
+    immutable; use :meth:`forced` to derive the pinned distributions
+    used for conditional queries.
     """
 
     __slots__ = ("_pairs",)
 
     def __init__(self, pairs: Sequence[tuple[float, float]]):
         checked = []
-        for var, (p0, p1) in enumerate(pairs):
-            p0 = float(p0)
-            p1 = float(p1)
+        for var, pair in enumerate(pairs):
+            try:
+                p0, p1 = pair
+            except (TypeError, ValueError):
+                p0 = p1 = None                  # not a pair
+            if not all(isinstance(p, numbers.Real) and type(p) is not bool
+                       for p in (p0, p1)):      # True would weigh as 1.0
+                raise WeightError(
+                    f"variable {var}: {pair!r} is not a pair of real numbers")
+            p0, p1 = float(p0), float(p1)
             if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
                 raise WeightError(f"variable {var}: probabilities outside [0, 1]")
             if abs(p0 + p1 - 1.0) > _PAIR_TOL:
@@ -119,13 +128,9 @@ class VarProbabilities:
 
     def forced(self, var: int, value: int) -> "VarProbabilities":
         """Copy with ``var`` pinned to ``value`` (weight pair (0,1) or (1,0))."""
-        if not isinstance(var, int) or isinstance(var, bool) \
-                or not 0 <= var < len(self._pairs):
-            raise WeightError(f"unknown variable {var!r}")
-        if value not in (0, 1):
-            raise WeightError(f"value must be 0 or 1, got {value!r}")
         pairs = list(self._pairs)
-        pairs[var] = _FORCED[value]
+        pairs[_index(var, len(pairs), WeightError, "variable")] = \
+            _FORCED[_index(value, 2, WeightError, "value")]
         return VarProbabilities(pairs)
 
 
@@ -135,14 +140,12 @@ class ProbabilityProfile:
 
     ``joint[v]`` is (p(f=1, x=0), p(f=1, x=1)); ``conditional[v]`` is the
     matching conditional pair, with None where p(x=b) = 0 makes the
-    conditional undefined.  ``reach`` maps each reachable node to the
-    probability mass of root-to-node paths (1.0 at the root).
+    conditional undefined.
     """
 
     sat: float
     joint: dict[int, tuple[float, float]]
     conditional: dict[int, tuple[float | None, float | None]]
-    reach: dict[int, float]
 
 
 @dataclass
@@ -277,8 +280,7 @@ def all_joint_probabilities(manager: BddManager, root: int,
         joint[var] = (j0, j1)
         conditional[var] = (j0 / p0 if p0 > 0.0 else None,
                             j1 / p1 if p1 > 0.0 else None)
-    return ProbabilityProfile(sat=p_one, joint=joint,
-                              conditional=conditional, reach=reach)
+    return ProbabilityProfile(sat=p_one, joint=joint, conditional=conditional)
 
 
 def _binary_entropy(p: float) -> float:
@@ -453,10 +455,8 @@ def conditional_entropy_set(manager: BddManager, root: int,
     """H(f|S) in bits: expected entropy over all assignments to the set."""
     manager._check(root)
     w = _check_weights(manager.n, w)
-    given = list(variables)
-    for var in given:
-        manager._check_var(var)
-    return _conditioned(manager, (root,), [_query(manager, set(given))], w)[0][0]
+    given = {manager._check_var(var) for var in variables}
+    return _conditioned(manager, (root,), [_query(manager, given)], w)[0][0]
 
 
 def mutual_information(manager: BddManager, root: int, var: int,
@@ -478,10 +478,9 @@ def measure_report(manager: BddManager, root: int,
     the probability from the same unforced pass."""
     manager._check(root)
     w = _check_weights(manager.n, w)
-    subsets = [list(subset) for subset in subsets]
-    for var in itertools.chain.from_iterable(subsets):
-        manager._check_var(var)
-    keys = list(dict.fromkeys(tuple(sorted(set(subset))) for subset in subsets))
+    keys = list(dict.fromkeys(
+        tuple(sorted({manager._check_var(var) for var in subset}))
+        for subset in subsets))
     given = [(), *((var,) for var in range(manager.n)), *keys]
     values, sat = _conditioned(manager, (root,),
                                [_query(manager, set(vs)) for vs in given], w)

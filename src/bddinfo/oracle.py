@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .manager import ONE, ZERO, BddManager, _permutation
+from .manager import ONE, ZERO, BddManager, _index, _permutation
 from .measures import MeasureReport, VarProbabilities, _check_weights
 
 MAX_ENUM_VARS = 24
@@ -38,10 +38,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self):
-        # bool is an int subclass: True would silently mean one variable.
-        if isinstance(self.n, bool) or self.n < 0:
-            raise ValueError(
-                f"variable count must be a nonnegative int, got {self.n!r}")
+        _index(self.n, None, ValueError, "variable count")
         if self.bits < 0 or self.bits >> (1 << self.n):
             raise ValueError("table bits out of range for n")
 
@@ -107,21 +104,15 @@ def enumerate_bdd(manager: BddManager, root: int) -> TruthTable:
     return TruthTable(n, bits)
 
 
-def _check_var(n: int, var) -> int:
-    if isinstance(var, bool) or not isinstance(var, int) or not 0 <= var < n:
-        raise ValueError(f"unknown variable {var!r} for {n} variables")
-    return var
-
-
 def joint_probability(tt: TruthTable, var: int, value: int) -> Fraction:
-    """Exact p(f=1, x=value) under uniform inputs."""
-    mask = _var_mask(tt.n, _check_var(tt.n, var), value)
-    return Fraction((tt.bits & mask).bit_count(), tt.assignments)
+    """Exact p(f=1, x=value) under uniform inputs: p(x=value) is 1/2."""
+    return conditional_probability(tt, var, value) / 2
 
 
 def conditional_probability(tt: TruthTable, var: int, value: int) -> Fraction:
     """Exact p(f=1 | x=value) under uniform inputs."""
-    mask = _var_mask(tt.n, _check_var(tt.n, var), value)
+    mask = _var_mask(tt.n, _index(var, tt.n, ValueError, "variable"),
+                     _index(value, 2, ValueError, "value"))
     return Fraction((tt.bits & mask).bit_count(), 1 << (tt.n - 1))
 
 
@@ -146,12 +137,13 @@ def exact_measures(tt: TruthTable, w: VarProbabilities | None = None,
     and p(f=1, a) integers over powers of 2**e: a count of assignments
     under uniform weights, else a sum of per-assignment products.  Only
     the entropy step is float.  Weights that are not VarProbabilities
-    over n variables raise WeightError; a subset variable outside
-    0..n-1, or a bool, raises ValueError.
+    over n variables raise WeightError; a subset variable that is not
+    an int in 0..n-1 (a bool, a float) raises ValueError.
     """
     n = tt.n
     w = _check_weights(n, w)
-    keys = [tuple(sorted({_check_var(n, v) for v in subset})) for subset in subsets]
+    keys = [tuple(sorted({_index(v, n, ValueError, "variable") for v in subset}))
+            for subset in subsets]
     bits = tt.bits
     full = (1 << (1 << n)) - 1
     ratios = [w.p0(v).as_integer_ratio() for v in range(n)]

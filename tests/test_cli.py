@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shlex
 
 import pytest
 
@@ -7,6 +8,7 @@ from bddinfo.cli import main
 
 from conftest import DATA
 
+ROOT = DATA.parent.parent
 EXAMPLE1 = str(DATA / "example1.blif")
 EXAMPLE1_PLA = str(DATA / "example1.pla")
 C17 = str(DATA / "c17.blif")
@@ -21,6 +23,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_command_line_examples(capsys, monkeypatch):
+    """Every ``$ bddinfo`` line of README's Command line section prints,
+    run from the repository root, exactly the lines shown under it; a
+    trailing ``#`` comment is not part of the command."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    monkeypatch.chdir(ROOT)
+    ran = 0
+    for block in section.split("```sh\n")[1:]:
+        for example in block.split("\n```")[0].split("$ bddinfo ")[1:]:
+            command, _, shown = example.partition("\n")
+            argv = shlex.split(command.split("#")[0])
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (0, shown.rstrip("\n") + "\n"), command
+            ran += 1
+    assert ran >= 4
 
 
 def test_measures_table(capsys):

@@ -127,14 +127,28 @@ def test_cofactor_example1(example1):
         enumerate_bdd(m2, want).to_string()
 
 
+def _assert_refused(manager, root, call, *args):
+    """``call(*args)`` raises UsageError and leaves the order, the node
+    store and the root's function as they were."""
+    order, nodes = manager.order, dict(manager._node)
+    with pytest.raises(UsageError):
+        call(*args)
+    assert manager.order == order
+    assert len(manager) == len(nodes) and manager._node == nodes
+    assert enumerate_bdd(manager, root).to_string() == EXAMPLE1_VECTOR
+
+
 def test_cofactor_trivia(example1):
     manager, root = example1
     assert manager.cofactor(ONE, 1, 0) == ONE
     assert manager.cofactor(ZERO, 2, 1) == ZERO
-    with pytest.raises(UsageError):
-        manager.cofactor(root, 7, 0)
-    with pytest.raises(UsageError):
-        manager.cofactor(root, 0, 2)
+    # A bit is the int 0 or 1: a bool, 1.0 or "0" would be read as one.
+    for var in (7, 0.5, 1.0, "0"):
+        _assert_refused(manager, root, manager.cofactor, root, var, 0)
+        _assert_refused(manager, root, manager.literal, var, 1)
+    for bit in (2, -1, True, 0.5, 1.0, "0"):
+        _assert_refused(manager, root, manager.cofactor, root, 0, bit)
+        _assert_refused(manager, root, manager.literal, 0, bit)
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
@@ -467,23 +481,23 @@ def test_move_var_up_and_down(rng):
 
 def test_bools_are_not_orders_or_levels(example1):
     # True == 1 and False == 0, so a bool would pass as a level or as an
-    # entry of a permutation unless rejected by type.
-    with pytest.raises(ValueError):
-        BddManager(2, order=[True, False])
-    with pytest.raises(ValueError):
-        BddManager(3, order=[2, True, False])
-    for n in (True, False):
+    # entry of a permutation unless rejected by type; so would 1.0, and
+    # 0.5 would move a variable part of the way.
+    for order in ([True, False], [2, True, False], [0.0, 1, 2], [2, 1, "0"]):
+        with pytest.raises(ValueError):
+            BddManager(len(order), order=order)
+    for n in (True, False, 2.0, 0.5, "0"):
         with pytest.raises(ValueError):
             BddManager(n)
     manager, root = example1
-    with pytest.raises(UsageError):
-        manager.set_order([2, True, False])
-    with pytest.raises(UsageError):
-        manager.var_at_level(True)
-    with pytest.raises(UsageError):
-        manager.move_var(0, True)
-    with pytest.raises(UsageError):
-        manager.swap_adjacent_levels(True)
+    for order in ([2, True, False], [2, 1.0, 0], [2, "1", 0], [0.5, 1, 2]):
+        _assert_refused(manager, root, manager.set_order, order)
+    for index in (True, 0.5, 1.0, "0"):
+        _assert_refused(manager, root, manager.var_at_level, index)
+        _assert_refused(manager, root, manager.level_of_var, index)
+        _assert_refused(manager, root, manager.move_var, 0, index)
+        _assert_refused(manager, root, manager.move_var, index, 2)
+        _assert_refused(manager, root, manager.swap_adjacent_levels, index)
     assert manager.order == (0, 1, 2)
     assert manager.var_at_level(1) == 1
     assert enumerate_bdd(manager, root).to_string() == EXAMPLE1_VECTOR

@@ -25,16 +25,25 @@ def test_weights_validation():
         VarProbabilities([(0.6, 0.6)])
     with pytest.raises(WeightError):
         VarProbabilities([(-0.1, 1.1)])
+    # Each entry must be a pair of real numbers: not a bare number, not
+    # one or three of them, and neither None, a str nor a bool.
+    for pairs in ([0.5], [(0.5,)], [(0.5, 0.5, 0.0)], [(None, 1)],
+                  [("0.5", "0.5")], [(True, False)]):
+        with pytest.raises(WeightError):
+            VarProbabilities(pairs)
     w = VarProbabilities.uniform(3)
     assert w.pair(1) == (0.5, 0.5)
     assert w.forced(1, 0).pair(1) == (1.0, 0.0)
     assert w.forced(1, 1).pair(1) == (0.0, 1.0)
+    for bit in (2, -1, True, 0.5, 1.0, "0"):
+        with pytest.raises(WeightError):
+            w.forced(1, bit)
 
 
-@pytest.mark.parametrize("var", [-1, 3, True])
+@pytest.mark.parametrize("var", [-1, 3, True, 0.5, 1.0, "0"])
 def test_forced_rejects_unknown_variables(var):
-    """-1 would pin the last variable, 3 would raise IndexError and True
-    would pin variable 1."""
+    """-1 would pin the last variable, 3 would raise IndexError, True
+    would pin variable 1, and 1.0 or "0" is not an index at all."""
     with pytest.raises(WeightError):
         VarProbabilities.uniform(3).forced(var, 1)
 
@@ -44,13 +53,16 @@ def test_bools_are_not_variable_indices(example1):
     merge with 0 in a set of variables."""
     manager, root = example1
     with pytest.raises(UsageError):
-        conditional_entropy_var(manager, root, True)
-    with pytest.raises(UsageError):
         conditional_entropy_set(manager, root, [0, False])
-    with pytest.raises(UsageError):
-        measure_report(manager, root, subsets=[(True,)])
-    with pytest.raises(UsageError):
-        manager.mk_node(False, ZERO, ONE)
+    for var in (True, 0.5, 1.0, "0"):
+        with pytest.raises(UsageError):
+            conditional_entropy_var(manager, root, var)
+        with pytest.raises(UsageError):
+            mutual_information(manager, root, var)
+        with pytest.raises(UsageError):
+            measure_report(manager, root, subsets=[(var,)])
+        with pytest.raises(UsageError):
+            manager.mk_node(var, ZERO, ONE)
 
 
 def test_weights_length_checked(example1):

@@ -159,8 +159,10 @@ def test_exact_measures_match_brute_force(data):
             _brute_force_given(tt, pairs, vs), abs=1e-12)
 
 
-@pytest.mark.parametrize("var", [True, False, -1, 3, 1.0, "0"])
+@pytest.mark.parametrize("var", [True, False, -1, 3, 1.0, "0", 0.5])
 def test_oracle_rejects_unknown_variables(var):
+    """Every value here is refused as a variable and, as are 2 and -1,
+    as a bit: a bool, 1.0 or "0" must not be read as 0 or 1."""
     tt = TruthTable.from_string(EXAMPLE1_VECTOR)
     with pytest.raises(ValueError):
         exact_measures(tt, subsets=((var,),))
@@ -171,6 +173,11 @@ def test_oracle_rejects_unknown_variables(var):
         joint_probability(tt, var, 1)
     with pytest.raises(ValueError):
         conditional_probability(tt, var, 1)
+    for bit in (var, 2):
+        with pytest.raises(ValueError):
+            joint_probability(tt, 0, bit)
+        with pytest.raises(ValueError):
+            conditional_probability(tt, 0, bit)
 
 
 def test_exact_measures_with_extreme_dyadic_weights():
@@ -207,10 +214,11 @@ def test_exact_measures_rejects_a_mismatched_weighting(w):
 
 def test_bdd_size_for_order_rejects_bools():
     tt = TruthTable.from_string(EXAMPLE1_VECTOR)
-    for order in ([True, False, 2], [0, True, 2], [2, 1, False]):
+    for order in ([True, False, 2], [0, True, 2], [2, 1, False],
+                  [0.0, 1, 2], [0.5, 1, 2], [2, "1", 0]):
         with pytest.raises(ValueError):
             bdd_size_for_order(tt, order)
-    for n in (True, False):
+    for n in (True, False, 2.0, 0.5, "0"):
         with pytest.raises(ValueError):
             TruthTable(n, 1)
 
