@@ -26,7 +26,7 @@ from . import measures as measures_mod
 from . import netlist as netlist_mod
 from . import oracle as oracle_mod
 from . import reorder as reorder_mod
-from .manager import BddError, BddManager, InputError
+from .manager import BddError, BddManager, InputError, _index
 from .measures import VarProbabilities
 
 _METHODS = ("info", "sift", "window", "none")
@@ -148,35 +148,24 @@ def _cmd_measures(args, out) -> int:
                                "output")
     selected_vars = _select(args.vars, names, "variable")
     rows = []
+    table = [["output", "H(f)"] + [f"H(f|{v})" for v in names
+                                   if v in selected_vars]]
     for out_name, root in circuit.outputs:
         if out_name not in selected_outputs:
             continue
         report = measures_mod.measure_report(manager, root)
-        rows.append({"circuit": circuit.name, "output": out_name,
-                     "variable": "", "measure": "H",
-                     "value": report.entropy})
-        for var, var_name in enumerate(names):
-            if var_name not in selected_vars:
-                continue
-            rows.append({"circuit": circuit.name, "output": out_name,
-                         "variable": var_name, "measure": "H|x",
-                         "value": report.cond_entropy[var]})
+        values = [("", "H", report.entropy)] + [
+            (var_name, "H|x", report.cond_entropy[var])
+            for var, var_name in enumerate(names) if var_name in selected_vars]
+        rows.extend({"circuit": circuit.name, "output": out_name,
+                     "variable": var_name, "measure": measure, "value": value}
+                    for var_name, measure, value in values)
+        table.append([out_name] + [f"{value:.2f}" for _, _, value in values])
     if args.format == "json":
         _emit_json(rows, out)
     elif args.format == "csv":
         _emit_csv(rows, ["circuit", "output", "variable", "measure", "value"], out)
     else:
-        header = ["output", "H(f)"] + [f"H(f|{v})" for v in names
-                                       if v in selected_vars]
-        table = [header]
-        for out_name, root in circuit.outputs:
-            if out_name not in selected_outputs:
-                continue
-            cells = [out_name]
-            for row in rows:
-                if row["output"] == out_name:
-                    cells.append(f"{row['value']:.2f}")
-            table.append(cells)
         _emit_table([f"circuit: {circuit.name}"] + _align(table), out)
     return 0
 
@@ -344,9 +333,18 @@ def _select(raw: str | None, known: list[str], what: str) -> set[str]:
     return picked
 
 
+def _node_limit(text: str) -> int:
+    """``--node-limit``: a nonnegative int, else a usage error."""
+    try:
+        return _index(int(text), None, ValueError, "node limit")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid nonnegative int value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--node-limit", type=int, default=None,
+    common.add_argument("--node-limit", type=_node_limit, default=None,
                         help="abort construction above this many live nodes")
 
     parser = argparse.ArgumentParser(

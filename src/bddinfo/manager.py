@@ -67,7 +67,7 @@ class BddManager:
     Variables are the integers ``0 .. n-1``.  ``order`` gives the initial
     permutation from levels to variables (default: identity).  Handles
     returned by one manager are meaningless in any other, except the
-    terminals ``ZERO`` and ``ONE``.
+    terminals ``ZERO`` and ``ONE`` and the handles a ``clone`` copies.
 
     A manager is confined to one thread at a time; run independent
     managers for parallelism.
@@ -76,6 +76,8 @@ class BddManager:
     def __init__(self, n: int, order: Sequence[int] | None = None,
                  node_limit: int | None = None):
         self.n = _index(n, None, ValueError, "variable count")
+        if node_limit is not None:
+            _index(node_limit, None, ValueError, "node limit")
         if order is None:
             order = range(n)
         order = _permutation(order, n, ValueError)
@@ -481,20 +483,11 @@ class BddManager:
             cur += 1
 
     def clone(self) -> "BddManager":
-        """Independent copy sharing handle values with this manager.
-
-        Sharing handles is part of the contract: every handle live at the
-        copy names the same function in both managers, and level swaps
-        keep it so.  Callers therefore carry root handles over to the copy
-        and compare functions across the two by handle; ``compare`` does
-        so, and the reorder check rebuilds the reordered roots inside a
-        copy taken on entry and compares the results with the roots'
-        own handles.  Handles made after the copy may coincide between
-        the two and name different functions, but every one of them is
-        above all handles live at the copy.
-        """
+        """Independent copy: every handle live at the copy names the same
+        function in both managers (level swaps keep it so), and each
+        manager mints its own handles afterwards, so a handle made in
+        one after the copy is refused by the other."""
         m = BddManager(self.n, order=self.order, node_limit=self.node_limit)
-        m._base = self._base
         m._refs = self._refs[:]
         m._node = dict(self._node)
         m._unique = [dict(table) for table in self._unique]

@@ -115,13 +115,13 @@ class VarProbabilities:
         return f"VarProbabilities({list(self._pairs)!r})"
 
     def pair(self, var: int) -> tuple[float, float]:
-        return self._pairs[var]
+        return self._pairs[_index(var, len(self._pairs), WeightError, "variable")]
 
     def p0(self, var: int) -> float:
-        return self._pairs[var][0]
+        return self.pair(var)[0]
 
     def p1(self, var: int) -> float:
-        return self._pairs[var][1]
+        return self.pair(var)[1]
 
     def is_uniform(self) -> bool:
         return all(p == (0.5, 0.5) for p in self._pairs)
@@ -273,7 +273,7 @@ def all_joint_probabilities(manager: BddManager, root: int,
     joint = {}
     conditional = {}
     for var in range(manager.n):
-        p0, p1 = w.pair(var)
+        p0, p1 = w._pairs[var]
         skipped = p_one - through.get(var, 0.0)
         j0 = p0 * (lo_part.get(var, 0.0) + skipped)
         j1 = p1 * (hi_part.get(var, 0.0) + skipped)
@@ -336,28 +336,27 @@ def _slopes(manager: BddManager, order: list[int], sat: dict[int, float],
     return slopes
 
 
-def _conditioned(manager: BddManager, roots: Sequence[int],
+def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
                  queries: Sequence[tuple[int, tuple[int, ...]]],
                  w: VarProbabilities, order: list[int] | None = None,
-                 reaches: Sequence[dict[int, float]] | None = None,
                  ) -> tuple[list[float], dict[int, float]]:
-    """For each query (depth, rest), the sum over ``roots`` (in order,
-    duplicates counted) of H(f | the variables on levels < depth, and
-    ``rest``), over one level order of the roots' shared graph.  Also
-    returns the unforced node probabilities of every level from the
-    shallowest query depth down.
+    """For each query (depth, rest), the sum over the roots of
+    ``reaches`` (in order, duplicates counted) of H(f | the variables on
+    levels < depth, and ``rest``), over one level order of their shared
+    graph.  Also returns the unforced node probabilities of every level
+    from the shallowest query depth down.
 
     ``reaches`` holds each root's frontier: the path masses that the
-    levels above some depth hand to the nodes at or below it; by
-    default ``{root: 1.0}``, the frontier at depth 0.  No query may be
+    levels above some depth hand to the nodes at or below it;
+    ``{root: 1.0}`` is the frontier at depth 0.  No query may be
     shallower than a frontier.  Copies of the frontiers are pushed down
     (``_top_down``), shallowest query depth first, each push extending
     the last; the caller's dicts are left unchanged.
 
     ``order`` lists the nodes level by level, ties by handle, from the
-    frontiers' depth down; it must hold every node the roots' mass
-    reaches there, and nodes it does not reach change no value.  By
-    default it is the roots' own, from one walk.
+    frontiers' depth down; it must hold every node the frontiers' mass
+    reaches, and nodes it does not reach change no value.  By default
+    it is walked from the frontier nodes.
 
     At each query depth, a frontier's nodes are read from its dict by
     (level, handle), terminals left out: they have no entropy.  One
@@ -374,9 +373,8 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
     """
     nodes, pairs, level = manager._node, w._pairs, manager._var_level
     if order is None:
-        order = _levelled(manager, roots)
-    reaches = ([{root: 1.0} for root in roots] if reaches is None
-               else [dict(reach) for reach in reaches])
+        order = _levelled(manager, itertools.chain.from_iterable(reaches))
+    reaches = [dict(reach) for reach in reaches]
     levels = [level[nodes[u][0]] for u in order]
     start = [bisect.bisect_left(levels, at) for at in range(manager.n + 1)]
     depths = sorted({depth for depth, _ in queries})
@@ -407,7 +405,7 @@ def _conditioned(manager: BddManager, roots: Sequence[int],
 
     values = []
     for depth, rest in queries:
-        totals = [0.0] * len(roots)
+        totals = [0.0] * len(reaches)
         if len(rest) <= 1:
             slope = {}              # no slope with no variable: p(u) as it is
             if rest:
@@ -456,7 +454,7 @@ def conditional_entropy_set(manager: BddManager, root: int,
     manager._check(root)
     w = _check_weights(manager.n, w)
     given = {manager._check_var(var) for var in variables}
-    return _conditioned(manager, (root,), [_query(manager, given)], w)[0][0]
+    return _conditioned(manager, [{root: 1.0}], [_query(manager, given)], w)[0][0]
 
 
 def mutual_information(manager: BddManager, root: int, var: int,
@@ -466,7 +464,7 @@ def mutual_information(manager: BddManager, root: int, var: int,
     manager._check(root)
     manager._check_var(var)
     queries = [_query(manager, set()), _query(manager, {var})]
-    (h, hv), _ = _conditioned(manager, (root,), queries, w)
+    (h, hv), _ = _conditioned(manager, [{root: 1.0}], queries, w)
     return h - hv
 
 
@@ -482,7 +480,7 @@ def measure_report(manager: BddManager, root: int,
         tuple(sorted({manager._check_var(var) for var in subset}))
         for subset in subsets))
     given = [(), *((var,) for var in range(manager.n)), *keys]
-    values, sat = _conditioned(manager, (root,),
+    values, sat = _conditioned(manager, [{root: 1.0}],
                                [_query(manager, set(vs)) for vs in given], w)
     h = values[0]
     cond = dict(enumerate(values[1:manager.n + 1]))

@@ -146,7 +146,7 @@ def exact_measures(tt: TruthTable, w: VarProbabilities | None = None,
             for subset in subsets]
     bits = tt.bits
     full = (1 << (1 << n)) - 1
-    ratios = [w.p0(v).as_integer_ratio() for v in range(n)]
+    ratios = [p0.as_integer_ratio() for p0, _ in w._pairs]
     one = max((den for _, den in ratios), default=1)   # 2**e; every den divides it
     a0s = [num * one // den for num, den in ratios]
     pairs = [(a0, one - a0) for a0 in a0s]

@@ -98,9 +98,9 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
         changed = any(oracle.enumerate_bdd(manager, r).bits != bits
                       for r, bits in zip(kept, tables))
     else:
-        # The clone shares handles and both managers are canonical, so
-        # an unchanged function is rebuilt as the very same handle; nodes
-        # the rebuild adds get handles above every handle of the clone.
+        # Both managers are canonical and share every handle live at the
+        # copy, and the clone mints new handles from its own range, so
+        # the rebuild returns r exactly when r's function is unchanged.
         memo: dict[int, int] = {}
         changed = any(copy_function(manager, r, before, memo) != r for r in kept)
     if changed:
@@ -144,8 +144,7 @@ def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
             # level order without a walk.
             order = [u for var in manager._level_var[level:]
                      for u in sorted(manager._unique[var].values())]
-            values, _ = measures._conditioned(manager, roots, queries, w, order,
-                                              reaches)
+            values, _ = measures._conditioned(manager, reaches, queries, w, order)
             scored = list(zip(candidates, values))
             best = min(score for _, score in scored)
             group = [var for var, score in scored if score <= best + _TIE_TOL]

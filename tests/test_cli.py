@@ -253,6 +253,17 @@ def test_vector_file(tmp_path, capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["order_after"] == "x1,x2,x3"
+    # Without an extension the format is read from the content.
+    _, want, _ = run(capsys, "measures", EXAMPLE1, "--format", "csv")
+    for source in ("example1.blif", "example1.pla"):
+        bare = tmp_path / "example1"
+        bare.write_text((DATA / source).read_text())
+        assert run(capsys, "measures", str(bare), "--format", "csv") == \
+            (0, want, "")
+    empty = tmp_path / "empty"
+    empty.write_text("# nothing\n")
+    assert run(capsys, "measures", str(empty)) == \
+        (1, "", "error: file holds no content\n")
 
 
 def test_vector_file_of_bad_length(tmp_path, capsys):
@@ -268,6 +279,10 @@ def test_node_limit_flag(capsys):
     code, _, err = run(capsys, "measures", C17, "--node-limit", "2")
     assert code == 1
     assert "node limit" in err
+    for limit in ("-1", "x"):
+        code, out, err = run(capsys, "measures", C17, "--node-limit", limit)
+        assert (code, out) == (2, "")
+        assert "error: argument --node-limit" in err
 
 
 def test_machine_output_determinism(tmp_path, capsys):

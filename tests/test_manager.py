@@ -192,6 +192,11 @@ def test_truth_vector_constants():
     m = BddManager(3)
     assert m.build_from_truth_vector("0" * 8) == ZERO
     assert m.build_from_truth_vector("1" * 8) == ONE
+    # A sequence of 0/1 ints or bools builds what the string builds.
+    f = m.build_from_truth_vector("01101001")
+    assert m.build_from_truth_vector([0, 1, 1, 0, 1, 0, 0, 1]) == f
+    assert m.build_from_truth_vector(
+        (False, True, True, False, True, False, False, True)) == f
 
 
 def test_truth_vector_bad_input():
@@ -202,6 +207,8 @@ def test_truth_vector_bad_input():
         m.build_from_truth_vector("1111")         # wrong variable count
     with pytest.raises(InputError):
         m.build_from_truth_vector("10021111")
+    with pytest.raises(InputError):
+        BddManager(2).build_from_truth_vector([0, 2, 1, 0])
 
 
 def test_count_nodes_trivia(example1):
@@ -266,6 +273,8 @@ def test_reduction_invariants(example1):
         seen.add((var, lo, hi))
         assert manager.level_of(u) < manager.level_of(lo)
         assert manager.level_of(u) < manager.level_of(hi)
+    with pytest.raises(UsageError, match="terminal"):
+        manager.node(ONE)
 
 
 def test_swap_involution(example1):
@@ -418,6 +427,7 @@ def test_swap_kernel_matches_reference_swap(rng):
         if trial % 2:
             m.collect_garbage()
         ref = m.clone()
+        ref._base = m._base     # mint the same handles, so stores compare raw
         for _ in range(60):
             level = rng.randrange(n - 1)
             m.swap_adjacent_levels(level)
@@ -564,6 +574,10 @@ def test_node_limit():
         f = ZERO
         for v in range(6):
             f = m.apply(XOR, f, m.literal(v))
+    # True would act as a limit of 1; a limit is a count, so an int.
+    for limit in (True, 2.5, -1, "5"):
+        with pytest.raises(ValueError):
+            BddManager(3, node_limit=limit)
 
 
 def test_clone_is_independent(example1):
@@ -574,6 +588,23 @@ def test_clone_is_independent(example1):
     assert manager.order == (0, 1, 2)
     assert twin.order == (1, 0, 2)
     assert enumerate_bdd(twin, root).to_string() == EXAMPLE1_VECTOR
+    # A handle live at the copy names one function in both managers; a
+    # handle either makes afterwards is refused by the other, in either
+    # direction, instead of passing for another of its nodes.
+    m = BddManager(2)
+    f = m.register_root(m.literal(0))
+    c = m.clone()
+    x = m.literal(1, 0)         # not x2, made in m after the copy
+    y = c.literal(1)            # x2, made in c after the copy
+    for assignment in itertools.product((0, 1), repeat=2):
+        assert m.evaluate(f, assignment) == c.evaluate(f, assignment) == \
+            assignment[0]
+    assert c.evaluate(y, [0, 1]) == 1 and m.evaluate(x, [0, 1]) == 0
+    for other, ref in ((m, y), (c, x)):
+        with pytest.raises(ManagerMismatchError):
+            other.evaluate(ref, [0, 1])
+        with pytest.raises(ManagerMismatchError):
+            other.node(ref)
 
 
 def _reference_copy(src, ref, dst, memo):
@@ -642,6 +673,9 @@ def test_evaluate(example1):
     for i, want in enumerate(EXAMPLE1_VECTOR):
         assignment = [(i >> (2 - v)) & 1 for v in range(3)]
         assert manager.evaluate(root, assignment) == int(want)
+    for assignment in ([1, 0], [1, 0, 0, 1]):
+        with pytest.raises(UsageError):
+            manager.evaluate(root, assignment)
 
 
 def test_zero_variable_manager():

@@ -33,6 +33,10 @@ def test_weights_validation():
             VarProbabilities(pairs)
     w = VarProbabilities.uniform(3)
     assert w.pair(1) == (0.5, 0.5)
+    assert w == VarProbabilities([(0.5, 0.5)] * 3) != w.forced(0, 1)
+    assert w != [(0.5, 0.5)] * 3
+    assert repr(w.forced(0, 1)) == \
+        "VarProbabilities([(0.0, 1.0), (0.5, 0.5), (0.5, 0.5)])"
     assert w.forced(1, 0).pair(1) == (1.0, 0.0)
     assert w.forced(1, 1).pair(1) == (0.0, 1.0)
     for bit in (2, -1, True, 0.5, 1.0, "0"):
@@ -43,9 +47,13 @@ def test_weights_validation():
 @pytest.mark.parametrize("var", [-1, 3, True, 0.5, 1.0, "0"])
 def test_forced_rejects_unknown_variables(var):
     """-1 would pin the last variable, 3 would raise IndexError, True
-    would pin variable 1, and 1.0 or "0" is not an index at all."""
-    with pytest.raises(WeightError):
-        VarProbabilities.uniform(3).forced(var, 1)
+    would pin variable 1, and 1.0 or "0" is not an index at all; the
+    pair readers refuse the same indices."""
+    w = VarProbabilities([(0.25, 0.75), (0.5, 0.5), (1.0, 0.0)])
+    for read in (lambda: w.forced(var, 1), lambda: w.pair(var),
+                 lambda: w.p0(var), lambda: w.p1(var)):
+        with pytest.raises(WeightError):
+            read()
 
 
 def test_bools_are_not_variable_indices(example1):

@@ -81,6 +81,9 @@ def test_blif_cycle_detection():
 def test_blif_continuation_lines():
     nl = parse_blif(".model m\n.inputs a \\\nb\n.outputs y\n.names a b y\n11 1\n.end\n")
     assert nl.inputs == ["a", "b"]
+    # A continuation at the end of the file ends the last line.
+    nl = parse_blif(".model m\n.inputs a\n.outputs y\n.names a y\n1 1 \\")
+    assert nl.gates[0].rows == [("1", "1")]
 
 
 def test_latch_cutting():
@@ -115,6 +118,9 @@ def test_pla_empty_cover_is_constant_zero():
     manager = manager_for(nl)
     roots = build_circuit_bdds(nl, manager)
     assert enumerate_bdd(manager, roots["f0"]).to_string() == "0000"
+    # With no outputs a cube row is its input part alone.
+    nl = parse_pla(".i 2\n.o 0\n01\n1-\n")
+    assert (nl.inputs, nl.outputs, nl.gates) == (["x1", "x2"], [], [])
 
 
 def test_pla_overlapping_cubes_or_together():
@@ -171,6 +177,10 @@ def test_build_respects_node_limit():
     with pytest.raises(BuildLimitError) as err:
         build_circuit_bdds(nl, manager)
     assert "G" in str(err.value)   # names the gate reached
+    # Room for the five inputs' literals only: the first gate hits it.
+    manager = manager_for(nl, node_limit=5)
+    with pytest.raises(BuildLimitError, match="building gate 'G10'"):
+        build_circuit_bdds(nl, manager)
 
 
 def test_build_needs_matching_manager():
@@ -295,6 +305,11 @@ def test_feedback_through_latch_is_not_a_cycle():
     ".model m\n.inputs a b a\n.outputs y\n.names a b y\n11 1\n.end\n",  # input twice
     ".model m\n.inputs a\n.outputs y\n.latch y a\n.names a y\n1 1\n.end\n",  # latch on input
     ".model m\n.inputs a\n.outputs f f\n.names a f\n1 1\n.end\n",  # output twice
+    ".outputs y\n.names y\n2\n",        # constant row other than 0 or 1
+    ".inputs t\n.outputs y\n.names t y\n1 1 1\n",  # three tokens in a row
+    ".inputs c\n.outputs y\n.names c y\nx 1\n",    # bad pattern character
+    ".inputs p\n.outputs y\n.names p y\n1 1\n0 0\n",  # mixed output phases
+    ".inputs a\n.outputs z\n",          # output never defined
 ])
 def test_malformed_blif_raises_netlist_errors(text):
     from bddinfo import NetlistError
@@ -307,6 +322,11 @@ def test_malformed_blif_raises_netlist_errors(text):
     ".i\n.o 1\n",                        # missing count
     ".i -1\n.o 1\n",                     # negative count
     ".i 2\n.o 1\n.ilb a a\n11 1\n",      # input named twice
+    ".i 1\n.o 1\n1 1 1\n",              # three tokens in a cube row
+    ".i 1\n.o 1\nx 1\n",                # bad input character
+    ".i 1\n.o 1\n1 x\n",                # bad output character
+    ".i 2\n.o 1\n.ilb a\n11 1\n",        # .ilb names too few inputs
+    ".i 1\n.o 1\n.ob f g\n1 1\n",        # .ob names too many outputs
 ])
 def test_malformed_pla_raises_netlist_errors(text):
     from bddinfo import NetlistError

@@ -42,6 +42,12 @@ def test_truth_table_string_roundtrip():
     assert tt.n == 3
     assert tt.to_string() == EXAMPLE1_VECTOR
     assert tt.value(0) == 1 and tt.value(1) == 0 and tt.value(7) == 1
+    for bits in (-1, 1 << 8):
+        with pytest.raises(ValueError):
+            TruthTable(3, bits)
+    for text in ("", "101", "10a1"):
+        with pytest.raises(ValueError):
+            TruthTable.from_string(text)
 
 
 def test_exact_measures_example1():

@@ -133,7 +133,8 @@ def test_conditioned_equals_summed_set_conditionals(rng):
             expected = [sum(conditional_entropy_set(m, root, order[:depth] + [x], w)
                             for root in roots)
                         for x in order[depth:]]
-            assert _conditioned(m, roots, queries, weights)[0] == expected
+            assert _conditioned(m, [{r: 1.0} for r in roots], queries,
+                                weights)[0] == expected
         subsets = [order[:2], order[1:], order[:1] + order[2:4], [],
                    order[-1:] * 2, order[:2], rng.sample(range(n), rng.randint(0, n))]
         for root in roots:
@@ -155,10 +156,10 @@ def test_conditioned_leaves_the_given_frontiers_unchanged(rng):
     order = list(m.order)
     queries = [(1, ()), (2, (order[4],)), (1, (order[3], order[5])), (n, ())]
     reaches = [{root: 1.0} for root in roots]
-    first = _conditioned(m, roots, queries, w, reaches=reaches)
+    first = _conditioned(m, reaches, queries, w)
     assert reaches == [{root: 1.0} for root in roots]
-    assert _conditioned(m, roots, queries, w, reaches=reaches) == first
-    assert _conditioned(m, roots, queries, w) == first
+    assert _conditioned(m, reaches, queries, w) == first
+    assert _conditioned(m, [{r: 1.0} for r in roots], queries, w) == first
 
 
 def _h(p):
@@ -204,7 +205,7 @@ def test_slope_kernel_matches_forced_passes_and_oracle(rng):
         order = list(m.order)
         for depth in range(n + 1):
             queries = [(depth, (x,)) for x in range(n)]
-            values, _ = _conditioned(m, roots, queries, w)
+            values, _ = _conditioned(m, [{r: 1.0} for r in roots], queries, w)
             for x, value in zip(range(n), values):
                 assert value == pytest.approx(
                     _forced_pass_route(m, roots, depth, x, w), abs=1e-12)
