@@ -35,6 +35,7 @@ _ID_SPAN = 1 << 40
 # A handle's slot in its manager's reference-count array; the terminals
 # 0 and 1 map to slots 0 and 1 in every manager.
 _SLOT = _ID_SPAN - 1
+_BITS = {"0": 0, "1": 1}                   # truth vector characters
 
 
 class BddError(Exception):
@@ -76,8 +77,7 @@ class BddManager:
     def __init__(self, n: int, order: Sequence[int] | None = None,
                  node_limit: int | None = None):
         self.n = _index(n, None, ValueError, "variable count")
-        if node_limit is not None:
-            _index(node_limit, None, ValueError, "node limit")
+        self.node_limit = node_limit
         if order is None:
             order = range(n)
         order = _permutation(order, n, ValueError)
@@ -96,11 +96,20 @@ class BddManager:
         self._cache: dict[tuple, int] = {}         # _ite memo
         self._roots: list[int] = []
         self._swaps = 0                            # level swaps made so far
-        self.node_limit = node_limit
 
     def __len__(self) -> int:
         """Number of live internal nodes (including unreachable ones)."""
         return len(self._node)
+
+    @property
+    def node_limit(self) -> int | None:
+        """Ceiling on live internal nodes; None or a nonnegative int."""
+        return self._node_limit
+
+    @node_limit.setter
+    def node_limit(self, limit: int | None) -> None:
+        self._node_limit = None if limit is None else \
+            _index(limit, None, ValueError, "node limit")
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -157,8 +166,8 @@ class BddManager:
         found = self._unique[var].get(key)
         if found is not None:
             return found
-        if self.node_limit is not None and len(self._node) >= self.node_limit:
-            raise NodeLimitError(f"node limit {self.node_limit} reached")
+        if self._node_limit is not None and len(self._node) >= self._node_limit:
+            raise NodeLimitError(f"node limit {self._node_limit} reached")
         return self._add(key)
 
     def _add(self, key: tuple[int, int, int]) -> int:
@@ -252,22 +261,16 @@ class BddManager:
         return copy_function(self, a, self, memo)
 
     def build_from_truth_vector(self, bits) -> int:
-        """Build the function whose truth vector is ``bits``.
-
-        ``bits`` is a string over '01' or a sequence of 0/1 of length 2**n.
+        """Build the function whose truth vector is ``bits``: a str over
+        '01' or a sequence of 0, 1, False or True, 2**n long, else InputError.
         Index i is read as the assignment (x1, ..., xn) given by the binary
         digits of i with x1 (variable 0) most significant.  The entries,
         already terminals, are folded into nodes level by level, bottom up.
         """
-        vec = _coerce_bits(bits)
-        length = len(vec)
-        if length == 0 or length & (length - 1):
-            raise InputError(f"truth vector length {length} is not a power of two")
-        if length > 1 << 24:
-            raise InputError("truth vector longer than 2**24 is not supported")
-        if length != 1 << self.n:
+        vec = _truth_vector(bits)
+        if len(vec) != 1 << self.n:
             raise InputError(
-                f"truth vector length {length} does not match {self.n} variables")
+                f"truth vector length {len(vec)} does not match {self.n} variables")
         rem = list(range(self.n))      # variables of vec, most significant first
         for var in reversed(self._level_var):
             r = rem.index(var)
@@ -280,10 +283,11 @@ class BddManager:
         return vec[0]
 
     def evaluate(self, root: int, assignment: Sequence[int]) -> int:
-        """Evaluate at an assignment indexed by variable id."""
+        """Evaluate at an assignment of 0, 1, False or True by variable id."""
         self._check(root)
         if len(assignment) != self.n:
             raise UsageError(f"assignment must have {self.n} entries")
+        assignment = [_bit(b, UsageError, "assignment entry") for b in assignment]
         u = root
         while u != ZERO and u != ONE:
             var, lo, hi = self._node[u]
@@ -501,9 +505,7 @@ class BddManager:
         return self.n if t is None else self._var_level[t[0]]
 
     def _check(self, ref: int) -> None:
-        if ref == ZERO or ref == ONE:
-            return
-        if ref not in self._node:
+        if type(ref) is not int or ref not in self._node and ref not in (ZERO, ONE):
             raise ManagerMismatchError(
                 f"handle {ref!r} does not belong to this manager")
 
@@ -561,21 +563,28 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
     return memo[ref]
 
 
-def _coerce_bits(bits) -> list[int]:
+def _truth_vector(bits) -> list[int]:
+    """``bits``, a str over '01' (stripped) or a sequence of ``_bit`` values
+    of a power-of-two length up to 2**24, as 0/1 ints; else InputError."""
     if isinstance(bits, str):
-        bits = bits.strip()
-        vec = []
-        for ch in bits:
-            if ch not in "01":
-                raise InputError(f"truth vector character {ch!r} is not 0/1")
-            vec.append(int(ch))
-        return vec
-    vec = []
-    for b in bits:
-        if b not in (0, 1, False, True):
-            raise InputError(f"truth vector entry {b!r} is not 0/1")
-        vec.append(int(b))
+        try:
+            vec = [_BITS[ch] for ch in bits.strip()]
+        except KeyError as miss:
+            raise InputError(f"truth vector character {miss.args[0]!r} is not 0/1") from None
+    else:
+        vec = [_bit(b, InputError, "truth vector entry") for b in bits]
+    if not vec or len(vec) & (len(vec) - 1):
+        raise InputError(f"truth vector length {len(vec)} is not a power of two")
+    if len(vec) > 1 << 24:
+        raise InputError("truth vector longer than 2**24 is not supported")
     return vec
+
+
+def _bit(value, error: type[Exception], what: str) -> int:
+    """``value`` if it is 0, 1, False or True (as 0 or 1), else raise ``error``."""
+    if isinstance(value, int) and (value == 0 or value == 1):
+        return int(value)
+    raise error(f"{what} must be 0, 1, False or True, got {value!r}")
 
 
 def _index(value, stop: int | None, error: type[Exception], what: str) -> int:

@@ -100,10 +100,10 @@ class VarProbabilities:
         self._pairs = tuple(checked)
 
     @classmethod
-    @functools.lru_cache(maxsize=128)
+    @functools.lru_cache(maxsize=128, typed=True)
     def uniform(cls, n: int) -> "VarProbabilities":
-        # Instances are immutable, so sharing the per-n uniform is safe.
-        return cls(((0.5, 0.5),) * n)
+        # Immutable, so one per n; typed, so uniform(True) misses uniform(1).
+        return cls(((0.5, 0.5),) * _index(n, None, WeightError, "variable count"))
 
     def __len__(self) -> int:
         return len(self._pairs)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .manager import ONE, ZERO, BddManager, _index, _permutation
+from .manager import ONE, ZERO, BddManager, _index, _permutation, _truth_vector
 from .measures import MeasureReport, VarProbabilities, _check_weights
 
 MAX_ENUM_VARS = 24
@@ -39,22 +39,13 @@ class TruthTable:
 
     def __post_init__(self):
         _index(self.n, None, ValueError, "variable count")
-        if self.bits < 0 or self.bits >> (1 << self.n):
+        if _index(self.bits, None, ValueError, "table bits") >> (1 << self.n):
             raise ValueError("table bits out of range for n")
 
     @classmethod
     def from_string(cls, s: str) -> "TruthTable":
-        s = s.strip()
-        length = len(s)
-        if length == 0 or length & (length - 1):
-            raise ValueError(f"table length {length} is not a power of two")
-        if set(s) - {"0", "1"}:
-            raise ValueError("table may contain only 0 and 1")
-        bits = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(length.bit_length() - 1, bits)
+        vec = _truth_vector(s)
+        return cls(len(vec).bit_length() - 1, int("".join(map(str, vec[::-1])), 2))
 
     def to_string(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0"

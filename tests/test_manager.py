@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bddinfo import (
     AND, ONE, OR, XOR, ZERO,
     BddManager, InputError, ManagerMismatchError, NodeLimitError,
-    OrderingError, TruthTable, UsageError, copy_function, enumerate_bdd,
+    OrderingError, TruthTable, UsageError, copy_function, entropy, enumerate_bdd,
 )
 from bddinfo.manager import _SLOT
 
@@ -65,13 +65,37 @@ def test_apply_builds_example1_from_parts():
     assert enumerate_bdd(m, f).to_string() == EXAMPLE1_VECTOR
 
 
-def test_apply_rejects_foreign_handles():
-    m1 = BddManager(2)
-    m2 = BddManager(2)
-    f = m1.literal(0)
-    g = m2.literal(1)
+# Every entry point that takes a handle, given the handle under test.
+_HANDLE_ENTRY_POINTS = {
+    "mk_node lo": lambda m, r, h: m.mk_node(0, r, h),
+    "mk_node hi": lambda m, r, h: m.mk_node(0, h, r),
+    "apply": lambda m, r, h: m.apply(AND, h, r),
+    "negate": lambda m, r, h: m.negate(r),
+    "cofactor": lambda m, r, h: m.cofactor(r, 0, 1),
+    "evaluate": lambda m, r, h: m.evaluate(r, [0, 0, 0]),
+    "register_root": lambda m, r, h: m.register_root(r),
+    "count_nodes": lambda m, r, h: m.count_nodes([h, r]),
+    "node": lambda m, r, h: m.node(r),
+    "entropy": lambda m, r, h: entropy(m, r),
+    "enumerate_bdd": lambda m, r, h: enumerate_bdd(m, r),
+    "copy_function": lambda m, r, h: copy_function(m, r, BddManager(3)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_HANDLE_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["0.0", "1.0", "True", "float(h)", "foreign"])
+def test_entry_points_reject_foreign_handles(entry, bad):
+    """A handle is an int this manager minted or copied: another's handle,
+    1.0 or True for a terminal, and float(h) for the live handle h are
+    refused before anything is interned, registered or read."""
+    m = BddManager(3)
+    h = m.register_root(m.literal(2))
+    ref = {"0.0": 0.0, "1.0": 1.0, "True": True, "float(h)": float(h),
+           "foreign": BddManager(3).literal(2)}[bad]
+    before = (len(m._refs), dict(m._node), m.registered_roots)
     with pytest.raises(ManagerMismatchError):
-        m2.apply(AND, f, g)
+        _HANDLE_ENTRY_POINTS[entry](m, ref, h)
+    assert (len(m._refs), m._node, m.registered_roots) == before
 
 
 def test_apply_unknown_operator(example1):
@@ -209,6 +233,11 @@ def test_truth_vector_bad_input():
         m.build_from_truth_vector("10021111")
     with pytest.raises(InputError):
         BddManager(2).build_from_truth_vector([0, 2, 1, 0])
+    # A truth value is 0, 1, False or True: a float is no bit, even 1.0.
+    with pytest.raises(InputError):
+        BddManager(2).build_from_truth_vector([0.0, 1.0, 1.0, 1.0])
+    with pytest.raises(InputError):
+        m.build_from_truth_vector((1.0,) * 8)
 
 
 def test_count_nodes_trivia(example1):
@@ -578,6 +607,10 @@ def test_node_limit():
     for limit in (True, 2.5, -1, "5"):
         with pytest.raises(ValueError):
             BddManager(3, node_limit=limit)
+        # A write after construction passes the same rule.
+        with pytest.raises(ValueError):
+            m.node_limit = limit
+        assert m.node_limit == 3
 
 
 def test_clone_is_independent(example1):
@@ -676,6 +709,14 @@ def test_evaluate(example1):
     for assignment in ([1, 0], [1, 0, 0, 1]):
         with pytest.raises(UsageError):
             manager.evaluate(root, assignment)
+    # Each entry is a truth value, read by value, not by truthiness.
+    for assignment in (["0", 0, 0], [0.5, 0, 0], [None, 0, 0]):
+        with pytest.raises(UsageError):
+            manager.evaluate(root, assignment)
+    for i in range(8):
+        bits = [(i >> (2 - v)) & 1 for v in range(3)]
+        assert manager.evaluate(root, tuple(map(bool, bits))) == \
+            manager.evaluate(root, bits)
 
 
 def test_zero_variable_manager():

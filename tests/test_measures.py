@@ -42,6 +42,12 @@ def test_weights_validation():
     for bit in (2, -1, True, 0.5, 1.0, "0"):
         with pytest.raises(WeightError):
             w.forced(1, bit)
+    # A count is an int, even once uniform(1) and uniform(2) are cached.
+    assert len(VarProbabilities.uniform(1)) == 1
+    assert len(VarProbabilities.uniform(2)) == 2
+    for n in (True, 2.0, -1):
+        with pytest.raises(WeightError):
+            VarProbabilities.uniform(n)
 
 
 @pytest.mark.parametrize("var", [-1, 3, True, 0.5, 1.0, "0"])

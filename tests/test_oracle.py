@@ -45,6 +45,9 @@ def test_truth_table_string_roundtrip():
     for bits in (-1, 1 << 8):
         with pytest.raises(ValueError):
             TruthTable(3, bits)
+    for n, bits in ((1, True), (2, 1.5)):
+        with pytest.raises(ValueError):
+            TruthTable(n, bits)
     for text in ("", "101", "10a1"):
         with pytest.raises(ValueError):
             TruthTable.from_string(text)
