@@ -59,6 +59,12 @@ def _sniff_format(path: str, text: str) -> str:
 
 
 def load_circuit(path: str, node_limit: int | None = None) -> LoadedCircuit:
+    """Read a BLIF, PLA or truth-vector file into a fresh manager.
+
+    Every output is a registered root.  After a netlist is built, the
+    nodes no output reaches are swept and the op cache is cleared, so
+    the manager holds the outputs' nodes and nothing else.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     stem = path.rsplit("/", 1)[-1]
@@ -77,6 +83,7 @@ def load_circuit(path: str, node_limit: int | None = None) -> LoadedCircuit:
     parsed = netlist_mod.parse_blif(text) if kind == "blif" else netlist_mod.parse_pla(text)
     manager = netlist_mod.manager_for(parsed, node_limit=node_limit)
     roots = netlist_mod.build_circuit_bdds(parsed, manager)
+    manager.collect_garbage()
     outputs = [(name, roots[name]) for name in parsed.cut_outputs]
     return LoadedCircuit(name=parsed.name or stem, manager=manager,
                          outputs=outputs, input_names=parsed.cut_inputs)

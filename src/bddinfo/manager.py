@@ -206,7 +206,9 @@ class BddManager:
         AND, OR, XOR, NOT and ``copy_function``.  It splits the three
         operands on the top variable among them and recurses on the two
         halves, low first; each call goes at least one level down, so
-        the depth is bounded by the number of levels."""
+        the depth is bounded by the number of levels.  When f is a
+        literal above g and h, the node (f's variable, h, g) is interned
+        at once, with no recursion and no cache entry."""
         if f == ONE:
             return g
         if f == ZERO:
@@ -234,6 +236,8 @@ class BddManager:
         lf = level[tf[0]]
         lg = self.n if tg is None else level[tg[0]]
         lh = self.n if th is None else level[th[0]]
+        if lf < lg and lf < lh and tf[1] == ZERO and tf[2] == ONE:
+            return self._mk(tf[0], h, g)    # f is a literal above g and h
         top = min(lf, lg, lh)
         _, f0, f1 = tf if lf == top else (0, f, f)
         _, g0, g1 = tg if lg == top else (0, g, g)
@@ -341,7 +345,9 @@ class BddManager:
         anything is dead, the node store, the unique tables and the
         reference counts are rebuilt in place from the survivors, in
         handle order, so the cost follows the live nodes, not the dead.
+        The op cache is cleared either way.
         """
+        self._cache.clear()
         keep = self._reachable(self._roots)
         nodes = self._node
         dead = len(nodes) - len(keep)
@@ -361,7 +367,6 @@ class BddManager:
             unique[key[0]][key] = u
             refs[key[1] & _SLOT] += 1
             refs[key[2] & _SLOT] += 1
-        self._cache.clear()
         return dead
 
     # -- reordering substrate -----------------------------------------------
@@ -565,14 +570,20 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
 
 def _truth_vector(bits) -> list[int]:
     """``bits``, a str over '01' (stripped) or a sequence of ``_bit`` values
-    of a power-of-two length up to 2**24, as 0/1 ints; else InputError."""
+    of a power-of-two length up to 2**24, as 0/1 ints; else InputError,
+    also for an argument that is neither."""
     if isinstance(bits, str):
         try:
             vec = [_BITS[ch] for ch in bits.strip()]
         except KeyError as miss:
             raise InputError(f"truth vector character {miss.args[0]!r} is not 0/1") from None
     else:
-        vec = [_bit(b, InputError, "truth vector entry") for b in bits]
+        try:
+            entries = iter(bits)
+        except TypeError:
+            raise InputError(f"truth vector must be a str or a sequence, "
+                             f"got {bits!r}") from None
+        vec = [_bit(b, InputError, "truth vector entry") for b in entries]
     if not vec or len(vec) & (len(vec) - 1):
         raise InputError(f"truth vector length {len(vec)} is not a power of two")
     if len(vec) > 1 << 24:

@@ -348,3 +348,47 @@ def test_json_names_with_control_characters(tmp_path, capsys):
     record = json.loads(out)[0]
     assert record["order_before"] == "a\x01b,c"
     assert record["steps"][0]["scores"][0][0] == "a\x01b"
+
+
+def _blocked_adder_blif(k: int) -> str:
+    """k-bit ripple-carry adder over inputs a0..a{k-1} b0..b{k-1}, built
+    from XOR, AND, 3-input XOR and majority covers."""
+    lines = [".model add", ".inputs " + " ".join(
+        [f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)]),
+        ".outputs " + " ".join([f"s{i}" for i in range(k)] + ["cout"])]
+    carry = None
+    for i in range(k):
+        cout = "cout" if i == k - 1 else f"c{i}"
+        if carry is None:
+            lines += [".names a0 b0 s0", "10 1", "01 1",
+                      f".names a0 b0 {cout}", "11 1"]
+        else:
+            lines += [f".names a{i} b{i} {carry} s{i}",
+                      "100 1", "010 1", "001 1", "111 1",
+                      f".names a{i} b{i} {carry} {cout}",
+                      "11- 1", "1-1 1", "-11 1"]
+        carry = cout
+    return "\n".join(lines + [".end"]) + "\n"
+
+
+def test_load_keeps_only_the_outputs(tmp_path):
+    """A loaded circuit holds the outputs' nodes and nothing else: no
+    dead node, no op cache entry, and none in a clone either.  In
+    ``live.blif`` every node built is an output, so nothing is swept,
+    yet the AND of two gates leaves a cache entry.  The adder also
+    bounds the handles the build minted, which a build that ORs cubes
+    of negated literals would pass."""
+    from bddinfo.cli import load_circuit
+    live = tmp_path / "live.blif"
+    live.write_text(".model live\n.inputs a b\n.outputs a b c e\n"
+                    ".names a b c\n11 1\n.names c b e\n11 1\n.end\n")
+    adder = tmp_path / "add6.blif"
+    adder.write_text(_blocked_adder_blif(6))
+    paths = sorted(DATA.glob("*.blif")) + sorted(DATA.glob("*.pla")) + [live, adder]
+    for path in paths:
+        m = load_circuit(str(path)).manager
+        assert len(m) == m.shared_size(), path.name
+        assert not m._cache, path.name
+        copy = m.clone()
+        assert len(copy) == copy.shared_size(), path.name
+    assert len(m._refs) - 2 <= 1000

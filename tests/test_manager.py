@@ -140,6 +140,42 @@ def test_ite_matches_truth_table_operations(n, data):
     assert_manager_consistent(m)
 
 
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_ite_of_a_literal(n, data):
+    """``_ite(literal, g, h)`` with the literal above, below or between
+    g and h is the handle of its truth table; above both it interns the
+    node at once and adds no cache entry."""
+    m = BddManager(n, order=data.draw(st.permutations(range(n))))
+    var = data.draw(st.integers(0, n - 1))
+    lit = m.literal(var)
+    level = m.level_of_var(var)
+
+    def operand():
+        """A random function of the variables above the literal, below
+        it, or of any variable."""
+        bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+        u = m.build_from_truth_vector(format(bits, f"0{1 << n}b"))
+        side = data.draw(st.sampled_from(["above", "below", "any"]))
+        for other in range(n):
+            at = m.level_of_var(other)
+            if side == "above" and at >= level or side == "below" and at <= level:
+                u = m.cofactor(u, other, data.draw(st.integers(0, 1)))
+        return u
+
+    g, h = operand(), operand()
+    G, H, F = (enumerate_bdd(m, u).bits for u in (g, h, lit))
+    full = (1 << (1 << n)) - 1
+    cached = dict(m._cache)
+    r = m._ite(lit, g, h)
+    assert r == m.build_from_truth_vector(
+        TruthTable(n, (F & G) | (~F & H & full)).to_string())
+    if level < min(m.level_of(g), m.level_of(h)) and g != h:
+        assert m.node(r) == (var, h, g)
+        assert m._cache == cached
+    assert_manager_consistent(m)
+
+
 def test_cofactor_example1(example1):
     manager, root = example1
     assert manager.cofactor(root, 0, 1) == ONE
@@ -238,6 +274,11 @@ def test_truth_vector_bad_input():
         BddManager(2).build_from_truth_vector([0.0, 1.0, 1.0, 1.0])
     with pytest.raises(InputError):
         m.build_from_truth_vector((1.0,) * 8)
+    # Neither a str nor iterable: an InputError, not Python's TypeError.
+    with pytest.raises(InputError):
+        BddManager(2).build_from_truth_vector(5)
+    with pytest.raises(InputError):
+        TruthTable.from_string(None)
 
 
 def test_count_nodes_trivia(example1):
@@ -560,7 +601,7 @@ def test_sweep_matches_retiring_one_node_at_a_time(rng):
     same node store, in the same order, the same tables and the same
     reference counts as retiring each dead node in turn, after build
     garbage, swaps and a root registered twice; a sweep with nothing
-    dead keeps the operation cache."""
+    dead still clears the operation cache."""
     for trial in range(40):
         n = rng.randint(1, 7)
         m = BddManager(n)
@@ -581,10 +622,11 @@ def test_sweep_matches_retiring_one_node_at_a_time(rng):
         assert_manager_consistent(m)
         x = m.register_root(m.literal(0))
         m.apply(XOR, x, m.register_root(m.literal(0, 0)))   # ONE, no new node
-        cache = dict(m._cache)
-        assert cache
+        assert m._cache
+        nodes = dict(m._node)
         assert m.collect_garbage() == 0
-        assert m._cache == cache
+        assert not m._cache
+        assert m._node == nodes
 
 
 def test_collect_garbage_drops_unregistered():

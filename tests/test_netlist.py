@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddinfo import (
+    AND, ONE, OR, ZERO,
     BddManager, BuildLimitError, CycleError, ParseError, UndefinedSignalError,
     build_circuit_bdds, enumerate_bdd, format_blif, manager_for, parse_blif,
     parse_pla, weighted_sat_probability,
 )
+from bddinfo.netlist import Gate, _gate_bdd
 
-from conftest import DATA, EXAMPLE1_VECTOR
+from conftest import DATA, EXAMPLE1_VECTOR, assert_manager_consistent
 
 EXAMPLE1_BLIF = (DATA / "example1.blif").read_text()
 EXAMPLE1_PLA = (DATA / "example1.pla").read_text()
@@ -347,3 +351,112 @@ def test_parser_fuzz_only_raises_netlist_errors(rng):
                 parser(text)
             except NetlistError:
                 pass
+
+
+def _sum_of_products(manager, gate, signal):
+    """The cover as an OR of cubes, each an AND of its literals, with
+    '0' literals negated, complemented when the output column is 0."""
+    cover = ZERO
+    for pattern, _ in gate.rows:
+        cube = ONE
+        for name, ch in zip(gate.inputs, pattern):
+            if ch != "-":
+                lit = signal[name]
+                cube = manager.apply(AND, cube, lit if ch == "1"
+                                     else manager.negate(lit))
+        cover = manager.apply(OR, cover, cube)
+    if gate.rows and gate.rows[0][1] == "0":
+        cover = manager.negate(cover)
+    return cover
+
+
+@given(st.integers(min_value=0, max_value=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_gate_bdd_matches_sum_of_products(n, data):
+    """Each cover expanded over its inputs is the handle the cube-by-cube
+    fold gives, for inputs that are random functions, terminals or
+    repeats of another input, with empty covers, empty patterns,
+    duplicate rows and either output phase."""
+    m = BddManager(n, order=data.draw(st.permutations(range(n))))
+    k = data.draw(st.integers(min_value=0, max_value=4))
+    signal = {}
+    for j in range(k):
+        kind = data.draw(st.sampled_from(
+            ["function", "terminal", "repeat"] if j else ["function", "terminal"]))
+        if kind == "function":
+            bits = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+            signal[f"s{j}"] = m.build_from_truth_vector(format(bits, f"0{1 << n}b"))
+        elif kind == "terminal":
+            signal[f"s{j}"] = data.draw(st.sampled_from([ZERO, ONE]))
+        else:
+            signal[f"s{j}"] = signal[f"s{data.draw(st.integers(0, j - 1))}"]
+    inputs = data.draw(st.lists(st.sampled_from(sorted(signal)), max_size=4)
+                       if signal else st.just([]))
+    patterns = data.draw(st.lists(
+        st.text(alphabet="01-", min_size=len(inputs), max_size=len(inputs)),
+        max_size=5))
+    patterns += data.draw(st.lists(st.sampled_from(patterns), max_size=2)
+                          if patterns else st.just([]))
+    out = data.draw(st.sampled_from("01"))
+    gate = Gate(output="g", inputs=inputs, rows=[(p, out) for p in patterns])
+    assert _gate_bdd(m, gate, signal) == _sum_of_products(m, gate, signal)
+    assert_manager_consistent(m)
+
+
+def test_wide_pla_loads():
+    """A 1,500-input cover builds one node per state, with no recursion
+    down the cubes' chains."""
+    n = 1500
+    nl = parse_pla(f".i {n}\n.o 1\n{'1' * n} 1\n{'0' * n} 1\n")
+    manager = manager_for(nl)
+    root = build_circuit_bdds(nl, manager)["f0"]
+    assert manager.shared_size() == 2 * n - 1
+    assert manager.evaluate(root, [1] * n) == 1
+    assert manager.evaluate(root, [0] * n) == 1
+    for flipped in (0, n // 2, n - 1):
+        ones = [1] * n
+        ones[flipped] = 0
+        assert manager.evaluate(root, ones) == 0
+
+
+def _cover(n, patterns):
+    """A one-output PLA over ``n`` inputs whose cubes are ``patterns``,
+    each a dict from input position to '0' or '1'."""
+    rows = "".join("".join(p.get(i, "-") for i in range(n)) + " 1\n"
+                   for p in patterns)
+    return parse_pla(f".i {n}\n.o 1\n{rows}")
+
+
+@pytest.mark.parametrize("shape", ["shared-tail", "absorbed"])
+def test_expansion_merges_rows_with_one_remainder(shape):
+    """Live row sets that differ only in rows already spent or absorbed
+    share one state, so these 60-input covers build in linear time.
+
+    shared-tail is x59 AND (x0 OR ... OR x58), one cube per x_j with x59;
+    once x0..x_{i-1} are set, the live rows are the spent x_j = 1 among
+    them plus all later ones, 2**i sets with two distinct remainders,
+    and setting x_i = 1 leaves a remainder that covers every later
+    row's.  absorbed is x29 OR the cubes x_j x29 x_{30+j}, which the
+    cube x29 absorbs.  Keyed by live rows alone, either walks 2**29 or
+    more states; counting ``_ite`` calls stops such a walk early."""
+    n = 60
+    if shape == "shared-tail":
+        patterns = [{j: "1", n - 1: "1"} for j in range(n - 1)]
+    else:
+        patterns = [{29: "1"}] + [{j: "1", 29: "1", 30 + j: "1"} for j in range(29)]
+    nl = _cover(n, patterns)
+    m = manager_for(nl)
+    ite, calls = m._ite, []
+
+    def counted(f, g, h):
+        """``_ite``, failing fast once the walk outgrows the cover."""
+        calls.append(f)
+        assert len(calls) <= 2 * n, "more than two states per input"
+        return ite(f, g, h)
+
+    m._ite = counted
+    root = build_circuit_bdds(nl, m)["f0"]
+    del m._ite
+    signal = {name: m.literal(v) for v, name in enumerate(nl.cut_inputs)}
+    assert root == _sum_of_products(m, nl.gates[0], signal)
+    assert_manager_consistent(m)
