@@ -1,6 +1,9 @@
 """Brute-force ground truth, independent of the BDD code paths.
 
 Functions here work on flat truth tables stored as integer bitmasks.
+``enumerate_bdd`` is the one bridge from a diagram: it composes each
+node's table from its children's and reads only the node triples, so
+it never runs the if-then-else kernel, a swap or a measure.
 Probabilities are exact integers over a power of two, from assignment
 counts under uniform inputs and from per-assignment weights otherwise,
 and only become floats at the entropy step, so a floating-point bug in
@@ -48,8 +51,8 @@ class TruthTable:
         return cls(len(vec).bit_length() - 1, int("".join(map(str, vec[::-1])), 2))
 
     def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0"
-                       for i in range(1 << self.n))
+        # Character i is bit i: the binary numeral, lowest bit first.
+        return format(self.bits, f"0{1 << self.n}b")[::-1]
 
     def value(self, index: int) -> int:
         return (self.bits >> index) & 1
@@ -68,31 +71,69 @@ class TruthTable:
 
 @functools.lru_cache(maxsize=4096)
 def _var_mask(n: int, var: int, value: int) -> int:
-    """Bitmask over assignment indices where the variable takes ``value``."""
+    """Bitmask over assignment indices where the variable takes ``value``.
+
+    One period of 2·stride indices, with ones where the variable takes
+    ``value``, is doubled until it spans all 2**n indices.
+    """
     stride = 1 << (n - 1 - var)
-    block = (1 << stride) - 1
-    mask = 0
-    for base in range(0, 1 << n, stride * 2):
-        mask |= block << (base + (stride if value else 0))
+    mask = ((1 << stride) - 1) << (stride if value else 0)
+    span = stride * 2
+    while span < 1 << n:
+        mask |= mask << span
+        span *= 2
     return mask
 
 
 def enumerate_bdd(manager: BddManager, root: int) -> TruthTable:
-    """Evaluate the BDD on every assignment (resource guarded)."""
+    """The root's complete truth table, in one bottom-up pass.
+
+    Shannon composition (Bryant, 1986): a node's table is its low
+    child's table with the high child's bits wherever the node's
+    variable is 1.  Each node of the root's graph is visited once,
+    after its children, in an order taken from the node triples alone,
+    not from the manager's levels.  A table is dropped once its last
+    reader (a parent in the root's graph) has read it, so memory
+    follows the widest cut of the diagram, not its node count.
+    Refuses more than MAX_ENUM_VARS variables.
+    """
     n = manager.n
     if n > MAX_ENUM_VARS:
         raise OracleLimitError(f"refusing to enumerate {n} variables")
     manager._check(root)
     nodes = manager._node
-    bits = 0
-    for i in range(1 << n):
-        u = root
-        while u != ZERO and u != ONE:
-            var, lo, hi = nodes[u]
-            u = hi if (i >> (n - 1 - var)) & 1 else lo
-        if u == ONE:
-            bits |= 1 << i
-    return TruthTable(n, bits)
+    tables = {ZERO: 0, ONE: (1 << (1 << n)) - 1}
+    if root in tables:
+        return TruthTable(n, tables[root])
+    readers = {root: 1}           # the caller reads the root once
+    stack = [root]
+    while stack:
+        for child in nodes[stack.pop()][1:]:
+            if child in readers:
+                readers[child] += 1
+            elif child in nodes:
+                readers[child] = 1
+                stack.append(child)
+    # Top down, a node is placed once all its readers are; reversed,
+    # every node comes after its children.
+    order = [root]
+    unplaced = dict(readers)
+    for u in order:
+        for child in nodes[u][1:]:
+            if child in unplaced:
+                unplaced[child] -= 1
+                if not unplaced[child]:
+                    order.append(child)
+    for u in reversed(order):
+        var, lo, hi = nodes[u]
+        low = tables[lo]
+        tables[u] = low ^ ((low ^ tables[hi]) & _var_mask(n, var, 1))
+        for child in (lo, hi):
+            if child in readers:
+                readers[child] -= 1
+                if not readers[child]:
+                    del tables[child]
+    return TruthTable(n, tables[root])
 
 
 def joint_probability(tt: TruthTable, var: int, value: int) -> Fraction:

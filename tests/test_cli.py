@@ -224,6 +224,25 @@ def test_oracle_check_above_the_enumeration_limit(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_oracle_check_on_twenty_inputs(tmp_path, capsys):
+    """Tables of 2**20 bits: a parity chain and a 3-input majority."""
+    n = 20
+    lines = [".model wide20", ".inputs " + " ".join(f"a{i}" for i in range(n)),
+             ".outputs p m"]
+    prev = "a0"
+    for i in range(1, n):
+        out = "p" if i == n - 1 else f"x{i}"
+        lines += [f".names {prev} a{i} {out}", "10 1", "01 1"]
+        prev = out
+    lines += [".names a0 a9 a19 m", "11- 1", "1-1 1", "-11 1", ".end"]
+    wide = tmp_path / "wide20.blif"
+    wide.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "oracle-check", str(wide), "--max-n", "20")
+    assert code == 0
+    assert out.startswith("oracle-check: ")
+    assert out.endswith(" checks passed on 2 outputs\n")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "frobnicate", EXAMPLE1)[0] == 2
     assert run(capsys, "measures", EXAMPLE1, "--format", "yaml")[0] == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    BddManager, TruthTable, VarProbabilities, WeightError, bdd_size_for_order,
-    best_order_exhaustive, enumerate_bdd, exact_measures,
+    ONE, ZERO, BddManager, TruthTable, VarProbabilities, WeightError,
+    bdd_size_for_order, best_order_exhaustive, enumerate_bdd, exact_measures,
 )
 from bddinfo.oracle import (
-    OracleLimitError, conditional_probability, joint_probability,
+    OracleLimitError, _var_mask, conditional_probability, joint_probability,
 )
 
 from conftest import EXAMPLE1_VECTOR, H_F, H_F_X1, H_F_X1X2, H_F_X2, random_function
@@ -51,6 +52,69 @@ def test_truth_table_string_roundtrip():
     for text in ("", "101", "10a1"):
         with pytest.raises(ValueError):
             TruthTable.from_string(text)
+
+
+def test_truth_table_string_roundtrip_at_16_variables(rng):
+    tt = TruthTable(16, rng.getrandbits(1 << 16))
+    text = tt.to_string()
+    assert len(text) == 1 << 16
+    assert all(text[i] == str(tt.value(i)) for i in range(1 << 16))
+    assert TruthTable.from_string(text) == tt
+
+
+def _assignment(n, i):
+    """Assignment index i by variable id, variable 0 most significant."""
+    return [(i >> (n - 1 - v)) & 1 for v in range(n)]
+
+
+def test_enumerate_matches_evaluation_at_every_assignment(rng):
+    """The composed table against a walk from the root per assignment:
+    seeded managers over shuffled orders, with roots that share nodes,
+    an XOR of two roots and both terminals."""
+    for trial in range(60):
+        n = trial % 10
+        order = list(range(n))
+        rng.shuffle(order)
+        m = BddManager(n, order=order)
+        f, g = (m.build_from_truth_vector(random_function(rng, n)) for _ in range(2))
+        shared = m.apply("and", f, g)
+        for root in (f, g, shared, m.apply("xor", f, g), ZERO, ONE):
+            tt = enumerate_bdd(m, root)
+            assert tt.n == n
+            assert [tt.value(i) for i in range(1 << n)] == \
+                [m.evaluate(root, _assignment(n, i)) for i in range(1 << n)]
+
+
+def test_var_mask_matches_a_per_index_reference():
+    for n in range(1, 13):
+        for var in range(n):
+            for value in (0, 1):
+                want = sum(1 << i for i in range(1 << n)
+                           if (i >> (n - 1 - var)) & 1 == value)
+                assert _var_mask(n, var, value) == want, (n, var, value)
+
+
+def test_wide_tabulation_keeps_only_the_cut(rng):
+    """A 20-variable parity chain: the table is right, and a second call
+    (the masks cached by the first) holds a few 128 KiB tables at once,
+    not one per node (39 nodes, about 5 MB)."""
+    n = 20
+    m = BddManager(n)
+    root = m.literal(0)
+    for v in range(1, n):
+        root = m.apply("xor", root, m.literal(v))
+    tt = enumerate_bdd(m, root)
+    assert tt.ones == 1 << (n - 1)
+    for _ in range(64):
+        i = rng.getrandbits(n)
+        assert tt.value(i) == m.evaluate(root, _assignment(n, i))
+    tracemalloc.start()
+    try:
+        assert enumerate_bdd(m, root) == tt
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024    # 16 tables of 2**20 bits
 
 
 def test_exact_measures_example1():

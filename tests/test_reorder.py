@@ -12,7 +12,7 @@ from bddinfo import (
     conditional_entropy_var, enumerate_bdd, exact_measures, info_reorder,
     measure_report, sift, weighted_sat_probability, window_permute,
 )
-from bddinfo import measures
+from bddinfo import measures, oracle
 from bddinfo.cli import load_circuit
 from bddinfo.measures import _conditioned
 from bddinfo.reorder import TraceStep, _plain_changes, _run
@@ -720,6 +720,29 @@ def test_all_methods_preserve_semantics(n, data):
         method(manager)
         assert enumerate_bdd(manager, root).to_string() == vector
         assert_manager_consistent(manager)
+
+
+@pytest.mark.parametrize("n, calls", [(8, 6), (12, 0)], ids=["tables", "clone"])
+@pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
+def test_table_check_calls_the_oracle_per_root_at_entry_and_exit(
+        rng, monkeypatch, method, n, calls):
+    """Up to 10 variables the driver tabulates every registered root
+    through ``oracle.enumerate_bdd`` once on entry and once on exit;
+    above that it never calls it.  The benchmark's
+    ``reorder.verify_tables_s`` span wraps that module attribute."""
+    m = BddManager(n)
+    for _ in range(3):
+        m.register_root(m.build_from_truth_vector(random_function(rng, n)))
+    real = oracle.enumerate_bdd
+    seen = []
+
+    def counting(manager, root):
+        seen.append(root)
+        return real(manager, root)
+
+    monkeypatch.setattr(oracle, "enumerate_bdd", counting)
+    method(m)
+    assert len(seen) == calls
 
 
 def test_verification_on_wide_managers(rng):
