@@ -6,11 +6,14 @@ handle.  Handles are plain integers: 0 and 1 are the terminals,
 everything else is an internal node owned by exactly one manager.  Each
 handle has a reference count (parent nodes plus root registrations).
 One memoized if-then-else kernel, ``_ite``, builds every AND, OR, XOR
-and complement, and every node ``copy_function`` cannot intern
-directly; it is the only routine here that recurses.  The variable
-order is a permutation between levels and variable ids; adjacent levels
-can be swapped in place, touching only the two tables involved, which
-is the substrate for all reordering algorithms.
+and complement.  One compose kernel, ``copy_function``, rebuilds a
+function with each variable replaced by a given handle, in the same
+manager or another: it serves copies, cofactors and circuit gates, and
+calls ``_ite`` for every node it cannot intern directly.  No routine
+here recurses; both kernels keep their pending work on a stack.  The
+variable order is a permutation between levels and variable ids;
+adjacent levels can be swapped in place, touching only the two tables
+involved, which is the substrate for all reordering algorithms.
 """
 
 from __future__ import annotations
@@ -203,50 +206,68 @@ class BddManager:
     def _ite(self, f: int, g: int, h: int) -> int:
         """Reduced BDD of ``f ? g : h`` for live handles, memoized: the
         if-then-else kernel of Brace, Rudell & Bryant (DAC 1990) behind
-        AND, OR, XOR, NOT and ``copy_function``.  It splits the three
-        operands on the top variable among them and recurses on the two
-        halves, low first; each call goes at least one level down, so
-        the depth is bounded by the number of levels.  When f is a
-        literal above g and h, the node (f's variable, h, g) is interned
-        at once, with no recursion and no cache entry."""
-        if f == ONE:
-            return g
-        if f == ZERO:
-            return h
-        if g == f:
-            g = ONE
-        if h == f:
-            h = ZERO
-        if g == h:
-            return g
-        if g == ONE:
-            if h == ZERO:
-                return f
-            if f > h:               # f or h: one cache entry per pair
-                f, h = h, f
-        elif h == ZERO and f > g:   # f and g
-            f, g = g, f
-        key = (f, g, h)
-        found = self._cache.get(key)
-        if found is not None:
-            return found
+        AND, OR, XOR, NOT and every ``copy_function`` node that cannot
+        be interned directly.  A call splits the three operands on the
+        top variable among them and solves the two halves, low first,
+        then interns the node over the two results; the calls still to
+        solve and the nodes still to intern wait on an explicit stack,
+        so the depth is not bounded by Python's recursion limit, and
+        handles are minted in the order a recursion would mint them.
+        When f is a literal above g and h, the node (f's variable, h, g)
+        is interned at once, with no split and no cache entry."""
+        cache = self._cache
         nodes = self._node
         level = self._var_level
-        tf, tg, th = nodes[f], nodes.get(g), nodes.get(h)
-        lf = level[tf[0]]
-        lg = self.n if tg is None else level[tg[0]]
-        lh = self.n if th is None else level[th[0]]
-        if lf < lg and lf < lh and tf[1] == ZERO and tf[2] == ONE:
-            return self._mk(tf[0], h, g)    # f is a literal above g and h
-        top = min(lf, lg, lh)
-        _, f0, f1 = tf if lf == top else (0, f, f)
-        _, g0, g1 = tg if lg == top else (0, g, g)
-        _, h0, h1 = th if lh == top else (0, h, h)
-        r0 = self._ite(f0, g0, h0)
-        r1 = self._ite(f1, g1, h1)
-        r = r0 if r0 == r1 else self._mk(self._level_var[top], r0, r1)
-        self._cache[key] = r
-        return r
+        n = self.n
+        mk = self._mk
+        # Splits whose halves are not both solved: (key, var, f1, g1, h1)
+        # while the low half is solved, then (key, var, r0) while the high.
+        waiting = []
+        while True:
+            if g == f:
+                g = ONE
+            if h == f:
+                h = ZERO
+            if f == ONE or g == h:
+                r = g
+            elif f == ZERO:
+                r = h
+            elif g == ONE and h == ZERO:
+                r = f
+            else:
+                if g == ONE and f > h:      # f or h: one cache entry per pair
+                    f, h = h, f
+                elif h == ZERO and f > g:   # f and g
+                    f, g = g, f
+                key = (f, g, h)
+                r = cache.get(key)
+                if r is None:
+                    tf, tg, th = nodes[f], nodes.get(g), nodes.get(h)
+                    lf = level[tf[0]]
+                    lg = n if tg is None else level[tg[0]]
+                    lh = n if th is None else level[th[0]]
+                    if lf < lg and lf < lh and tf[1] == ZERO and tf[2] == ONE:
+                        r = mk(tf[0], h, g)     # f is a literal above g and h
+                    else:
+                        top = min(lf, lg, lh)
+                        _, f0, f1 = tf if lf == top else (0, f, f)
+                        _, g0, g1 = tg if lg == top else (0, g, g)
+                        _, h0, h1 = th if lh == top else (0, h, h)
+                        waiting.append((key, self._level_var[top], f1, g1, h1))
+                        f, g, h = f0, g0, h0
+                        continue
+            while waiting:              # r solves the half on top of the stack
+                split = waiting.pop()
+                if len(split) == 5:
+                    key, var, f, g, h = split
+                    waiting.append((key, var, r))
+                    break
+                key, var, r0 = split
+                if r0 != r:
+                    r = mk(var, r0, r)
+                cache[key] = r
+            else:
+                return r
 
     def negate(self, a: int) -> int:
         """Reduced BDD of the complement (no complement edges are used)."""
@@ -254,15 +275,13 @@ class BddManager:
         return self._ite(a, ZERO, ONE)
 
     def cofactor(self, a: int, var: int, value: int) -> int:
-        """BDD of the restriction with ``var`` pinned to ``value``: each
-        node testing ``var`` maps to its chosen child, and
-        ``copy_function`` rebuilds the rest from that memo, iteratively."""
+        """BDD of the restriction with ``var`` pinned to ``value``:
+        ``copy_function`` composes ``a`` with that constant for ``var``.
+        It walks only ``a``'s graph and makes no ``_ite`` cache entry."""
         self._check(a)
         self._check_var(var)
         value = _index(value, 2, UsageError, "value")
-        memo = {u: key[1 + value]
-                for key, u in self._unique[var].items()}
-        return copy_function(self, a, self, memo)
+        return copy_function(self, a, self, None, {var: value})
 
     def build_from_truth_vector(self, bits) -> int:
         """Build the function whose truth vector is ``bits``: a str over
@@ -522,24 +541,32 @@ class BddManager:
 
 
 def copy_function(src: BddManager, ref: int, dst: BddManager,
-                  _memo: dict[int, int] | None = None) -> int:
+                  _memo: dict[int, int] | None = None,
+                  _subst: dict[int, int] | None = None) -> int:
     """Rebuild a function from one manager inside another.
 
     Variable ids carry over; the destination's own order is respected,
-    so this also converts between orders.  The source graph is walked
-    iteratively in post-order.  A node whose variable lies above both
-    rebuilt children in the destination is interned directly; any other
-    is rebuilt with one ``dst._ite(literal, hi, lo)``.  ``_memo`` (source
-    handle -> destination handle) may be shared by calls with the same
-    two managers.  Within one manager (``BddManager.cofactor``) the two
-    rebuilt children can be equal; the node then reduces to its child.
+    so this also converts between orders.  It is also the compose
+    kernel (Bryant, IEEE TC 1986): ``_subst`` maps a source variable to
+    the destination handle that replaces it, and a variable it leaves
+    out stands for itself.  The source graph is walked iteratively in
+    post-order.  A node whose substitute is a positive literal above
+    both rebuilt children is interned directly; any other is rebuilt
+    with one ``dst._ite(substitute, hi, lo)``.  ``_memo`` (source handle
+    -> destination handle) may be shared by calls with the same two
+    managers and substitution; terminals it already maps keep their
+    image, so ``{ZERO: ONE, ONE: ZERO}`` composes the complement.  Two
+    equal rebuilt children reduce the node to that child.
     """
     src._check(ref)
     memo = {} if _memo is None else _memo
-    memo[ZERO] = ZERO
-    memo[ONE] = ONE
+    memo.setdefault(ZERO, ZERO)
+    memo.setdefault(ONE, ONE)
+    subst = {} if _subst is None else _subst
     nodes = src._node
+    dst_nodes = dst._node
     level = dst._ref_level
+    var_level = dst._var_level
     mk = dst._mk
     stack = [ref]
     while stack:
@@ -551,14 +578,19 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
         l = memo.get(lo)
         h = memo.get(hi)
         if l is not None and h is not None:
-            dst._check_var(var)
-            top = dst._var_level[var]
+            s = subst.get(var)
+            if s is None:
+                x = dst._check_var(var)
+            else:                       # the literal s stands for, if any
+                t = dst_nodes.get(s)
+                x = t[0] if t is not None and t[1] == ZERO and t[2] == ONE else None
             if l == h:
                 memo[u] = l
-            elif top < level(l) and top < level(h):
-                memo[u] = mk(var, l, h)
+            elif x is not None and var_level[x] < level(l) \
+                    and var_level[x] < level(h):
+                memo[u] = mk(x, l, h)
             else:
-                memo[u] = dst._ite(mk(var, ZERO, ONE), h, l)
+                memo[u] = dst._ite(mk(var, ZERO, ONE) if s is None else s, h, l)
             stack.pop()
             continue
         if l is None:

@@ -5,17 +5,18 @@ Sequential circuits are handled by latch cutting: latch outputs become
 pseudo primary inputs and latch data inputs become pseudo outputs, so
 the combinational core is what gets built.  Input declaration order
 defines the variable ids (first declared input is variable 0), which is
-also the initial BDD order.  Each gate's cover is built by Shannon
-expansion over the gate's inputs, one if-then-else per state of the
-expansion, never as a sum of cube products.
+also the initial BDD order.  Each gate's cover is built once as a
+diagram of its own over the gate's inputs, an OR of cube chains, and
+then composed with the gate's input signals.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .manager import ONE, ZERO, BddManager, NodeLimitError
+from .manager import ONE, ZERO, BddManager, NodeLimitError, copy_function
 
 
 class NetlistError(ValueError):
@@ -311,13 +312,14 @@ def manager_for(netlist: Netlist, node_limit: int | None = None) -> BddManager:
 
 
 def build_circuit_bdds(netlist: Netlist, manager: BddManager) -> dict[str, int]:
-    """Compose the gate BDDs in topological order, each cover by
-    Shannon expansion over the gate's inputs (see ``_gate_bdd``).
+    """Build the gate BDDs in topological order, each by composing its
+    cover's own diagram with the gate's input signals (see ``_gate_bdd``).
 
     Returns a mapping from every cut output to its registered root.  A
-    manager node limit turns into a BuildLimitError naming the gate
-    where the ceiling was hit.  Nothing is swept: the nodes of internal
-    signals, and any handle the caller holds without a root, stay live.
+    manager node limit, which also bounds each cover's own diagram,
+    turns into a BuildLimitError naming the gate where the ceiling was
+    hit.  Nothing is swept: the nodes of internal signals, and any
+    handle the caller holds without a root, stay live.
     """
     cut_inputs = netlist.cut_inputs
     if manager.n != len(cut_inputs):
@@ -330,9 +332,18 @@ def build_circuit_bdds(netlist: Netlist, manager: BddManager) -> dict[str, int]:
     except NodeLimitError as exc:
         raise BuildLimitError(
             f"node limit reached while building input {name!r}") from exc
+    # A cover that occurs more than once (an adder's XOR2, AND2 and MAJ3)
+    # is built once per call; one that occurs once, such as each output
+    # of a wide PLA, is dropped after use.
+    count = Counter(_cover_key(gate) for gate in netlist.gates)
+    covers: dict[tuple, tuple[BddManager, int]] = {}
     for gate in netlist.gates:
+        key = _cover_key(gate)
         try:
-            signal[gate.output] = _gate_bdd(manager, gate, signal)
+            cover = covers.get(key) or _cover_bdd(*key, manager.node_limit)
+            if count[key] > 1:
+                covers[key] = cover
+            signal[gate.output] = _gate_bdd(manager, gate, signal, cover)
         except NodeLimitError as exc:
             raise BuildLimitError(
                 f"node limit reached while building gate {gate.output!r}") from exc
@@ -344,127 +355,36 @@ def build_circuit_bdds(netlist: Netlist, manager: BddManager) -> dict[str, int]:
     return roots
 
 
-def _gate_bdd(manager: BddManager, gate: Gate, signal: dict[str, int]) -> int:
-    """The gate's cover, expanded over its inputs in declared order.
+def _cover_key(gate: Gate) -> tuple[int, tuple[str, ...]]:
+    """The gate's input count and row patterns, which fix its cover."""
+    return len(gate.inputs), tuple(pattern for pattern, _ in gate.rows)
 
-    A state is (input position i, set of live rows); its BDD is
-    ``_ite(input i, state with i = 1, state with i = 0)``, where setting
-    input i kills the rows that need the other value.  No row alive
-    gives ``off``, and a live row whose pattern is all '-' from i on
-    gives ``on``; a 0 output column swaps the two, so the cover is never
-    negated.
 
-    A state is keyed by what its rows still ask for, so live sets that
-    differ only in spent or absorbed rows share it: no live row's
-    remainder (its pattern from i on) covers another's, each remainder
-    is held by the first row that has it, and i is an input some live
-    row tests.  Setting input i keeps a key one except where a row with
-    '-' at i is now covered by a row that had the literal, or a row now
-    has the remainder of an earlier row; only those rows are looked at.
-    States are memoised and walked with an explicit stack, low half
-    first, so one ``_ite`` call builds each.
-    """
-    rows = [pattern for pattern, _ in gate.rows]
-    off, on = (ONE, ZERO) if gate.rows and gate.rows[0][1] == "0" else (ZERO, ONE)
-    k = len(gate.inputs)
-    zero, one, dash = [0] * k, [0] * k, [0] * k     # rows by char at i
-    for r, pattern in enumerate(rows):
-        for i, ch in enumerate(pattern):
-            if ch == "0":
-                zero[i] |= 1 << r
-            elif ch == "1":
-                one[i] |= 1 << r
-            else:
-                dash[i] |= 1 << r
-    at0 = [z | d for z, d in zip(zero, dash)]   # rows alive after input i = 0
-    at1 = [o | d for o, d in zip(one, dash)]    # ... and after input i = 1
-    # From the last position back, with covers[r] the rows whose
-    # remainder covers row r's and equals[r] the rows with row r's:
-    # free[i], the rows all '-' from i on; care[i], the rows with a
-    # literal at i; hidden[i], for each row with '-' at i, the rows in
-    # care[i] that cover its remainder from i + 1; moved[i], for each row
-    # first with its remainder from i - 1 but not from i, the row that is.
-    everyone = (1 << len(rows)) - 1
-    free = [everyone] * (k + 1)
-    hidden: list[dict[int, int]] = [{}] * k
-    moved: list[dict[int, int]] = [{}] * (k + 1)
-    risky, shifted = [0] * k, [0] * (k + 1)     # the keys of hidden[i], moved[i]
-    care = [0] * k
-    covers = [everyone] * len(rows)
-    equals = [everyone] * len(rows)
-    for i in range(k - 1, -1, -1):
-        free[i] = free[i + 1] & dash[i]
-        care[i] = literal = zero[i] | one[i]
-        hidden[i] = {1 << r: c & literal for r, c in enumerate(covers)
-                     if dash[i] >> r & 1 and c & literal}
-        risky[i] = sum(hidden[i])
-        later = [e & -e for e in equals]
-        fits = {"0": at0[i], "1": at1[i], "-": dash[i]}
-        same = {"0": zero[i], "1": one[i], "-": dash[i]}
-        for r, pattern in enumerate(rows):
-            covers[r] &= fits[pattern[i]]
-            equals[r] &= same[pattern[i]]
-        moved[i + 1] = {1 << r: f for r, f in enumerate(later)
-                        if f != 1 << r and equals[r] & -equals[r] == 1 << r}
-        shifted[i + 1] = sum(moved[i + 1])
+def _cover_bdd(k: int, patterns: tuple[str, ...],
+               node_limit: int | None) -> tuple[BddManager, int]:
+    """The OR of the cubes ``patterns`` over k variables in declared
+    order, in a manager of its own under ``node_limit``: each cube is a
+    chain of nodes, and the cubes are OR-folded together."""
+    local = BddManager(k, node_limit=node_limit)
+    cover = ZERO
+    for pattern in patterns:
+        cube = ONE
+        for var in range(k - 1, -1, -1):
+            if pattern[var] == "1":
+                cube = local._mk(var, ZERO, cube)
+            elif pattern[var] == "0":
+                cube = local._mk(var, cube, ZERO)
+        cover = local._ite(cover, ONE, cube)
+    return local, cover
 
-    def ahead(i: int, alive: int) -> tuple[int, int]:
-        """The key of ``alive``, a set of rows each first with its
-        remainder from i - 1 on: each row goes to the first row with
-        its remainder from i on, and i to the next input a row tests."""
-        while True:
-            look = alive & shifted[i]
-            while look:
-                bit = look & -look
-                look ^= bit
-                alive ^= bit | moved[i][bit]
-            if alive & care[i]:
-                return i, alive
-            i += 1
 
-    def state(i: int, alive: int):
-        """A terminal handle, or the key of the rows ``alive`` of a key
-        at i that survive setting input i."""
-        if not alive:
-            return off
-        if alive & free[i + 1]:
-            return on
-        look = alive & risky[i]
-        while look:
-            bit = look & -look
-            look ^= bit
-            if alive & hidden[i][bit]:
-                alive ^= bit
-        return ahead(i + 1, alive)
-
-    if not rows:
-        return off
-    if free[0]:
-        return on
-    tops = 0                    # the first row of each remainder no other covers
-    for c, e in zip(covers, equals):
-        if c == e:
-            tops |= e & -e
-    root = ahead(0, tops)
-    inputs = [signal[name] for name in gate.inputs]
-    ite = manager._ite
-    memo: dict[tuple[int, int], int] = {}
-    stack: list = [root]        # keys to expand, and (key, lo, hi) to build
-    while stack:
-        item = stack.pop()
-        if len(item) == 3:
-            key, lo, hi = item
-            memo[key] = ite(inputs[key[0]], hi if type(hi) is int else memo[hi],
-                            lo if type(lo) is int else memo[lo])
-            continue
-        if item in memo:        # pushed again before it was built
-            continue
-        i, alive = item
-        lo = state(i, alive & at0[i])
-        hi = state(i, alive & at1[i])
-        stack.append((item, lo, hi))
-        if type(hi) is not int and hi not in memo:
-            stack.append(hi)
-        if type(lo) is not int and lo not in memo:
-            stack.append(lo)
-    return memo[root]
+def _gate_bdd(manager: BddManager, gate: Gate, signal: dict[str, int],
+              cover: tuple[BddManager, int] | None = None) -> int:
+    """The gate's function: its cover's diagram (built here unless
+    ``cover`` gives it) with input i's signal substituted for variable
+    i.  A 0 output column maps the cover's terminals to their
+    complements, so no cover is negated."""
+    local, root = cover or _cover_bdd(*_cover_key(gate), manager.node_limit)
+    memo = {ZERO: ONE, ONE: ZERO} if gate.rows and gate.rows[0][1] == "0" else None
+    subst = {var: signal[name] for var, name in enumerate(gate.inputs)}
+    return copy_function(local, root, manager, memo, subst)

@@ -743,6 +743,27 @@ def test_copy_function_does_not_recurse_over_the_source():
     assert dst.evaluate(g, [1] * (n - 1) + [0]) == ZERO
 
 
+def test_ite_does_not_recurse():
+    """OR of two interleaved AND chains over 2,000 levels: each split
+    goes one level down, past Python's recursion limit."""
+    n = 2000
+    m = BddManager(n)
+    evens = odds = ONE
+    for v in reversed(range(n)):
+        if v % 2:
+            odds = m.mk_node(v, ZERO, odds)
+        else:
+            evens = m.mk_node(v, ZERO, evens)
+    r = m.apply(OR, evens, odds)
+    for ones, value in [(range(n), 1), (range(0, n, 2), 1),
+                        (range(1, n, 2), 1), (range(1, n - 2), 0), ((), 0)]:
+        assignment = [0] * n
+        for v in ones:
+            assignment[v] = 1
+        assert m.evaluate(r, assignment) == value
+    assert_manager_consistent(m)
+
+
 def test_evaluate(example1):
     manager, root = example1
     for i, want in enumerate(EXAMPLE1_VECTOR):

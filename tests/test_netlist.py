@@ -403,20 +403,69 @@ def test_gate_bdd_matches_sum_of_products(n, data):
     assert_manager_consistent(m)
 
 
-def test_wide_pla_loads():
-    """A 1,500-input cover builds one node per state, with no recursion
-    down the cubes' chains."""
-    n = 1500
-    nl = parse_pla(f".i {n}\n.o 1\n{'1' * n} 1\n{'0' * n} 1\n")
+_WIDE = 1500
+
+
+@pytest.mark.parametrize("rows, size", [
+    (["1" * _WIDE, "0" * _WIDE], 2 * _WIDE - 1),
+    (["".join("1" if i % 2 == 0 else "-" for i in range(_WIDE)),
+      "".join("1" if i % 2 == 1 else "-" for i in range(_WIDE)),
+      "".join("0" if i % 3 == 0 else "-" for i in range(_WIDE))], None),
+], ids=["opposite", "interleaved"])
+def test_wide_pla_loads(rows, size):
+    """A 1,500-input cover builds with no recursion down its cubes'
+    chains: two opposite full cubes, and three cubes interleaved over
+    the inputs, whose OR fold splits on every input."""
+    n = _WIDE
+    nl = parse_pla(f".i {n}\n.o 1\n" + "".join(f"{p} 1\n" for p in rows))
     manager = manager_for(nl)
     root = build_circuit_bdds(nl, manager)["f0"]
-    assert manager.shared_size() == 2 * n - 1
-    assert manager.evaluate(root, [1] * n) == 1
-    assert manager.evaluate(root, [0] * n) == 1
-    for flipped in (0, n // 2, n - 1):
-        ones = [1] * n
-        ones[flipped] = 0
-        assert manager.evaluate(root, ones) == 0
+    if size is not None:
+        assert manager.shared_size() == size
+    assignments = [[bit] * n for bit in (0, 1)]
+    assignments += [[int(ch == "1") if ch != "-" else bit for ch in p]
+                    for p in rows for bit in (0, 1)]
+    for point in assignments[:]:
+        for flipped in (0, n // 2, n - 1):
+            assignments.append(point[:flipped] + [1 - point[flipped]]
+                               + point[flipped + 1:])
+    for a in assignments:
+        want = any(all(ch == "-" or int(ch) == bit for ch, bit in zip(p, a))
+                   for p in rows)
+        assert manager.evaluate(root, a) == want
+
+
+def test_long_gate_chain_loads():
+    """A chain of 1,200 XOR gates loads with no recursion: each gate but
+    the last adds an input above the chain so far, and the last adds
+    one below it, so composing it splits on every level."""
+    n = 1200
+    xs = [f"x{i}" for i in range(n)]
+    lines = [".inputs " + " ".join(reversed(xs)) + " y", f".outputs t{n}"]
+    prev = "x0"
+    for i, x in enumerate(xs[1:] + ["y"], 1):
+        lines += [f".names {prev} {x} t{i}", "01 1", "10 1"]
+        prev = f"t{i}"
+    nl = parse_blif("\n".join(lines) + "\n.end\n")
+    manager = manager_for(nl)
+    root = build_circuit_bdds(nl, manager)[f"t{n}"]
+    assert manager.shared_size() == 2 * (n + 1) - 1     # parity of n + 1 inputs
+    for ones in (0, 1, n // 2, n + 1):
+        assignment = [1] * ones + [0] * (n + 1 - ones)
+        assert manager.evaluate(root, assignment) == ones % 2
+    assert_manager_consistent(manager)
+
+
+def test_cover_diagram_counts_against_node_limit():
+    """A cover whose own diagram passes ``node_limit`` fails at its gate,
+    though the gate's function, input a, is already built."""
+    nl = parse_blif(".inputs a\n.outputs y\n.names a a a a a a y\n"
+                    "11---- 1\n--11-- 1\n----11 1\n.end\n")
+    with pytest.raises(BuildLimitError, match="building gate 'y'"):
+        build_circuit_bdds(nl, manager_for(nl, node_limit=1))
+    manager = manager_for(nl)
+    assert build_circuit_bdds(nl, manager)["y"] == manager.literal(0)
+    assert len(manager) == 1
 
 
 def _cover(n, patterns):
@@ -427,23 +476,30 @@ def _cover(n, patterns):
     return parse_pla(f".i {n}\n.o 1\n{rows}")
 
 
-@pytest.mark.parametrize("shape", ["shared-tail", "absorbed"])
+@pytest.mark.parametrize("shape", ["shared-tail", "absorbed", "consensus"])
 def test_expansion_merges_rows_with_one_remainder(shape):
-    """Live row sets that differ only in rows already spent or absorbed
-    share one state, so these 60-input covers build in linear time.
+    """These 60-input covers with redundant cubes build in linear time:
+    each is built once as a diagram of its own, whose OR fold stays
+    small here, and composing it with the input literals interns every
+    node directly, so the circuit's manager makes no ``_ite`` call.
 
-    shared-tail is x59 AND (x0 OR ... OR x58), one cube per x_j with x59;
-    once x0..x_{i-1} are set, the live rows are the spent x_j = 1 among
-    them plus all later ones, 2**i sets with two distinct remainders,
-    and setting x_i = 1 leaves a remainder that covers every later
-    row's.  absorbed is x29 OR the cubes x_j x29 x_{30+j}, which the
-    cube x29 absorbs.  Keyed by live rows alone, either walks 2**29 or
-    more states; counting ``_ite`` calls stops such a walk early."""
+    shared-tail is x59 AND (x0 OR ... OR x58), one cube per x_j with
+    x59.  absorbed is x29 OR the cubes x_j x29 x_{30+j}, which the cube
+    x29 absorbs.  consensus is b OR b'c OR the cubes x_j c e_j, with
+    x_j = x0..x28, b = x29, c = x30 and e_j = x31..x59: that is b OR c,
+    and each x_j c e_j is redundant only through c, the consensus of b
+    and b'c.  A Shannon expansion of the cover keyed by live rows walks
+    2**29 or more states on each, and one keyed by what the rows still
+    ask for still walks exponentially many on consensus; counting
+    ``_ite`` calls stops such a walk early."""
     n = 60
     if shape == "shared-tail":
         patterns = [{j: "1", n - 1: "1"} for j in range(n - 1)]
-    else:
+    elif shape == "absorbed":
         patterns = [{29: "1"}] + [{j: "1", 29: "1", 30 + j: "1"} for j in range(29)]
+    else:
+        patterns = [{29: "1"}, {29: "0", 30: "1"}] + [
+            {j: "1", 30: "1", 31 + j: "1"} for j in range(29)]
     nl = _cover(n, patterns)
     m = manager_for(nl)
     ite, calls = m._ite, []
