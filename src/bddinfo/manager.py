@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence, Sized
 
 ZERO = 0
 ONE = 1
@@ -39,6 +39,7 @@ _ID_SPAN = 1 << 40
 # 0 and 1 map to slots 0 and 1 in every manager.
 _SLOT = _ID_SPAN - 1
 _BITS = {"0": 0, "1": 1}                   # truth vector characters
+_MAX_VECTOR = 1 << 24                      # longest truth vector read
 
 
 class BddError(Exception):
@@ -364,7 +365,10 @@ class BddManager:
         anything is dead, the node store, the unique tables and the
         reference counts are rebuilt in place from the survivors, in
         handle order, so the cost follows the live nodes, not the dead.
-        The op cache is cleared either way.
+        Rebuilding also shrinks the node dict and the unique tables to
+        the survivors, which deleting the dead in place would not: their
+        hash tables would keep the size of the largest build.  The op
+        cache is cleared either way.
         """
         self._cache.clear()
         keep = self._reachable(self._roots)
@@ -601,26 +605,38 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
 
 
 def _truth_vector(bits) -> list[int]:
-    """``bits``, a str over '01' (stripped) or a sequence of ``_bit`` values
-    of a power-of-two length up to 2**24, as 0/1 ints; else InputError,
-    also for an argument that is neither."""
+    """``bits``, a str over '01' (stripped) or an iterable of ``_bit``
+    values, of a power-of-two length up to 2**24, as 0/1 ints; else
+    InputError, also for an argument that is neither.  A str or a sized
+    argument that is too long is refused before any entry is read, and
+    an unsized one after one entry past the bound."""
+    if isinstance(bits, str):
+        bits = bits.strip()
+    elif not isinstance(bits, Sized):
+        bits = list(itertools.islice(_entries(bits, InputError, "truth vector"),
+                                     _MAX_VECTOR + 1))
+    if len(bits) > _MAX_VECTOR:
+        raise InputError("truth vector longer than 2**24 is not supported")
     if isinstance(bits, str):
         try:
-            vec = [_BITS[ch] for ch in bits.strip()]
+            vec = [_BITS[ch] for ch in bits]
         except KeyError as miss:
             raise InputError(f"truth vector character {miss.args[0]!r} is not 0/1") from None
     else:
-        try:
-            entries = iter(bits)
-        except TypeError:
-            raise InputError(f"truth vector must be a str or a sequence, "
-                             f"got {bits!r}") from None
-        vec = [_bit(b, InputError, "truth vector entry") for b in entries]
+        vec = [_bit(b, InputError, "truth vector entry")
+               for b in _entries(bits, InputError, "truth vector")]
     if not vec or len(vec) & (len(vec) - 1):
         raise InputError(f"truth vector length {len(vec)} is not a power of two")
-    if len(vec) > 1 << 24:
-        raise InputError("truth vector longer than 2**24 is not supported")
     return vec
+
+
+def _entries(value, error: type[Exception], what: str) -> Iterator:
+    """``iter(value)``, or raise ``error`` naming ``what`` when ``value``
+    is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise error(f"{what} must be iterable, got {value!r}") from None
 
 
 def _bit(value, error: type[Exception], what: str) -> int:

@@ -9,8 +9,14 @@ with p(terminal one) = 1 and p(terminal zero) = 0.  Under the default
 uniform weights this yields the output probability; forcing a
 variable's pair to (1, 0) or (0, 1) yields conditional probabilities.
 The top-down pass assigns every node the probability mass of the
-root-to-node paths, and the pair of passes gives every per-variable
-joint and conditional probability of the function in one sweep.
+root-to-node paths.  A probability given one variable x is read off a
+slope: p(node) is linear in x's pair, so with D = dp(node)/dp(x=1),
+the sum of mass(v) * (p(high) - p(low)) over the nodes v testing x,
+each with the mass the node pushes to it,
+
+    p(f=1 | x=0) = p(node) - p(x=1) * D,  p(f=1 | x=1) = p(node) + p(x=0) * D.
+
+``all_joint_probabilities`` reads every pair of one root off its slopes.
 
 Every conditional entropy H(f|S) comes from one kernel,
 ``_conditioned``, which answers a list of queries for a list of roots
@@ -23,19 +29,15 @@ masses that the levels above some depth hand to the nodes below it,
 shallowest query first, each push extending the last.  Entropy-guided
 reordering carries and advances each root's frontier itself, so the
 placed prefix is never pushed again.  One unforced bottom-up pass
-serves every query.  A single variable x below that run is read off a
-slope: p(node) is linear in x's pair, so with D = dp(node)/dp(x=1),
-
-    p(f=1 | x=1) = p(node) + p(x=0) * D,  p(f=1 | x=0) = p(node) - p(x=1) * D,
-
-and one top-down pass per depth, carrying the path mass of every node
-the roots' mass reaches there, gives D for every such node and every
-variable at once.  Each assignment to k >= 2 other variables of S is
-one forced pass that recomputes only the levels down to the deepest of
-them, 2^k passes in all.  ``conditional_entropy_set`` asks one query
-(``conditional_entropy_var`` through it); ``measure_report`` asks H(f),
-every H(f|x) and every subset in one call, and takes p(f=1) from the
-same unforced pass; entropy-guided reordering asks
+serves every query.  A single variable x below that run is read off
+its slope, and one top-down pass per depth, carrying the path mass of
+every node the roots' mass reaches there, gives D for every such node
+and every variable at once.  Each assignment to k >= 2 other variables
+of S is one forced pass that recomputes only the levels down to the
+deepest of them, 2^k passes in all.  ``conditional_entropy_set`` asks
+one query (``conditional_entropy_var`` through it); ``measure_report``
+asks H(f), every H(f|x) and every subset in one call, and takes p(f=1)
+from the same unforced pass; entropy-guided reordering asks
 H(f | placed prefix, x) for every candidate x of a level in one call
 over the frontiers of all roots.
 
@@ -58,7 +60,7 @@ import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .manager import ONE, ZERO, BddManager, _index
+from .manager import ONE, ZERO, BddManager, UsageError, _entries, _index
 
 _PAIR_TOL = 1e-12
 _FORCED = ((1.0, 0.0), (0.0, 1.0))      # a weight pair pinned to x=0 / x=1
@@ -248,11 +250,12 @@ def all_joint_probabilities(manager: BddManager, root: int,
                             w: VarProbabilities | None = None) -> ProbabilityProfile:
     """All per-variable joint and conditional probabilities in one pass pair.
 
-    One bottom-up pass gives node satisfaction probabilities, one
-    top-down pass gives path masses.  For each variable the mass routed
-    through its nodes is combined with the children's probabilities; the
-    remainder of p(f=1) comes from paths that skip the variable, where
-    function and variable are independent.
+    One bottom-up pass gives node probabilities, one top-down pass path
+    masses, and each variable x the slope D_x, the sum of
+    mass(u) * (p(hi) - p(lo)) over the nodes u testing x.  Then
+    p(f=1 | x=0) = p - p1 * D_x and p(f=1 | x=1) = p + p0 * D_x, and
+    the joints are p0 and p1 times them; a variable the function
+    ignores has D_x = 0 and gets (p, p).
     """
     manager._check(root)
     w = _check_weights(manager.n, w)
@@ -260,27 +263,18 @@ def all_joint_probabilities(manager: BddManager, root: int,
     sat = _bottom_up(manager, order, w._pairs)
     reach = _top_down(manager, {root: 1.0}, order, w._pairs, keep=True)
     nodes = manager._node
-    p_one = sat[root]
-    through: dict[int, float] = {}
-    lo_part: dict[int, float] = {}
-    hi_part: dict[int, float] = {}
+    slope = [0.0] * manager.n
     for u in order:
         var, lo, hi = nodes[u]
-        mass = reach[u]
-        through[var] = through.get(var, 0.0) + mass * sat[u]
-        lo_part[var] = lo_part.get(var, 0.0) + mass * sat[lo]
-        hi_part[var] = hi_part.get(var, 0.0) + mass * sat[hi]
+        slope[var] += reach[u] * (sat[hi] - sat[lo])
+    p = sat[root]
     joint = {}
     conditional = {}
-    for var in range(manager.n):
-        p0, p1 = w._pairs[var]
-        skipped = p_one - through.get(var, 0.0)
-        j0 = p0 * (lo_part.get(var, 0.0) + skipped)
-        j1 = p1 * (hi_part.get(var, 0.0) + skipped)
-        joint[var] = (j0, j1)
-        conditional[var] = (j0 / p0 if p0 > 0.0 else None,
-                            j1 / p1 if p1 > 0.0 else None)
-    return ProbabilityProfile(sat=p_one, joint=joint, conditional=conditional)
+    for var, (p0, p1) in enumerate(w._pairs):
+        c0, c1 = p - p1 * slope[var], p + p0 * slope[var]
+        joint[var] = (p0 * c0, p1 * c1)
+        conditional[var] = (c0 if p0 > 0.0 else None, c1 if p1 > 0.0 else None)
+    return ProbabilityProfile(sat=p, joint=joint, conditional=conditional)
 
 
 def _binary_entropy(p: float) -> float:
@@ -293,6 +287,13 @@ def entropy(manager: BddManager, root: int,
             w: VarProbabilities | None = None) -> float:
     """H(f) in bits: binary entropy of the satisfaction probability."""
     return _binary_entropy(weighted_sat_probability(manager, root, w))
+
+
+def _var_set(manager: BddManager, variables: Iterable[int]) -> set[int]:
+    """``variables`` as a set of checked variables; UsageError when it is
+    not iterable or holds anything but a variable."""
+    return {manager._check_var(var)
+            for var in _entries(variables, UsageError, "a variable set")}
 
 
 def _query(manager: BddManager, given: set[int]) -> tuple[int, tuple[int, ...]]:
@@ -453,7 +454,7 @@ def conditional_entropy_set(manager: BddManager, root: int,
     """H(f|S) in bits: expected entropy over all assignments to the set."""
     manager._check(root)
     w = _check_weights(manager.n, w)
-    given = {manager._check_var(var) for var in variables}
+    given = _var_set(manager, variables)
     return _conditioned(manager, [{root: 1.0}], [_query(manager, given)], w)[0][0]
 
 
@@ -477,8 +478,8 @@ def measure_report(manager: BddManager, root: int,
     manager._check(root)
     w = _check_weights(manager.n, w)
     keys = list(dict.fromkeys(
-        tuple(sorted({manager._check_var(var) for var in subset}))
-        for subset in subsets))
+        tuple(sorted(_var_set(manager, subset)))
+        for subset in _entries(subsets, UsageError, "subsets")))
     given = [(), *((var,) for var in range(manager.n)), *keys]
     values, sat = _conditioned(manager, [{root: 1.0}],
                                [_query(manager, set(vs)) for vs in given], w)

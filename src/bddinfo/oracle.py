@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .manager import ONE, ZERO, BddManager, _index, _permutation, _truth_vector
+from .manager import (ONE, ZERO, BddManager, _entries, _index, _permutation,
+                      _truth_vector)
 from .measures import MeasureReport, VarProbabilities, _check_weights
 
 MAX_ENUM_VARS = 24
@@ -169,13 +170,15 @@ def exact_measures(tt: TruthTable, w: VarProbabilities | None = None,
     and p(f=1, a) integers over powers of 2**e: a count of assignments
     under uniform weights, else a sum of per-assignment products.  Only
     the entropy step is float.  Weights that are not VarProbabilities
-    over n variables raise WeightError; a subset variable that is not
-    an int in 0..n-1 (a bool, a float) raises ValueError.
+    over n variables raise WeightError; ``subsets`` or a subset that is
+    not iterable, or a subset variable that is not an int in 0..n-1 (a
+    bool, a float), raises ValueError.
     """
     n = tt.n
     w = _check_weights(n, w)
-    keys = [tuple(sorted({_index(v, n, ValueError, "variable") for v in subset}))
-            for subset in subsets]
+    keys = [tuple(sorted({_index(v, n, ValueError, "variable")
+                          for v in _entries(subset, ValueError, "a subset")}))
+            for subset in _entries(subsets, ValueError, "subsets")]
     bits = tt.bits
     full = (1 << (1 << n)) - 1
     ratios = [p0.as_integer_ratio() for p0, _ in w._pairs]

@@ -81,6 +81,41 @@ def test_measures_filters(capsys):
     assert code == 2
 
 
+def test_measures_outputs_leave_the_others_out(capsys):
+    """``--outputs`` keeps the named outputs' rows, in circuit order,
+    and drops every row of an output it does not name."""
+    _, every, _ = run(capsys, "measures", C17, "--format", "csv")
+    code, out, _ = run(capsys, "measures", C17, "--format", "csv",
+                       "--outputs", "G23")
+    assert code == 0
+    lines = every.splitlines()
+    assert out.splitlines() == [lines[0]] + [
+        line for line in lines[1:] if line.split(",")[1] == "G23"]
+    assert any(line.split(",")[1] == "G22" for line in lines[1:])
+
+
+def test_empty_tokens_in_selections_are_skipped(capsys):
+    """An empty name between commas selects nothing and is no error."""
+    for flag, picked in (("--outputs", "G22,G23"), ("--vars", "G1,G3")):
+        _, want, _ = run(capsys, "measures", C17, "--format", "csv",
+                         flag, picked)
+        spaced = picked.replace(",", ",, ,")
+        assert run(capsys, "measures", C17, "--format", "csv",
+                   flag, spaced) == (0, want, "")
+        assert run(capsys, "measures", C17, "--format", "csv",
+                   flag, f",{picked},") == (0, want, "")
+
+
+def test_extensionless_text_that_is_neither_is_read_as_blif(tmp_path, capsys):
+    """A file without an extension whose first content line is neither a
+    directive nor 0/1 is parsed as BLIF, and fails as BLIF does."""
+    path = tmp_path / "notes"
+    path.write_text("# a comment\nhello world\n")
+    code, out, err = run(capsys, "measures", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: cover row outside .names: hello world\n"
+
+
 def test_measures_pla_matches_blif(capsys):
     _, out_blif, _ = run(capsys, "measures", EXAMPLE1, "--format", "csv")
     _, out_pla, _ = run(capsys, "measures", EXAMPLE1_PLA, "--format", "csv")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,33 @@ def test_truth_vector_bad_input():
         BddManager(2).build_from_truth_vector(5)
     with pytest.raises(InputError):
         TruthTable.from_string(None)
+
+
+class _SizedZeros:
+    """A sized vector of 2**25 zeros; as a list it would take 256 MiB."""
+
+    def __len__(self):
+        return 1 << 25
+
+    def __iter__(self):
+        return itertools.repeat(0, 1 << 25)
+
+
+def test_truth_vector_longer_than_2_24_is_refused_unread():
+    """A str or sized vector longer than 2**24 is refused by its length,
+    before its entries are read into a list."""
+    text = "0" * (1 << 25)
+    tracemalloc.start()
+    try:
+        for call in (lambda: BddManager(25).build_from_truth_vector(text),
+                     lambda: BddManager(25).build_from_truth_vector(_SizedZeros()),
+                     lambda: TruthTable.from_string(text)):
+            with pytest.raises(InputError, match=r"longer than 2\*\*24"):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_count_nodes_trivia(example1):

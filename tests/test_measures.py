@@ -79,6 +79,21 @@ def test_bools_are_not_variable_indices(example1):
             manager.mk_node(var, ZERO, ONE)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m, f: conditional_entropy_set(m, f, 3),
+    lambda m, f: conditional_entropy_set(m, f, None),
+    lambda m, f: measure_report(m, f, subsets=[1]),
+    lambda m, f: measure_report(m, f, subsets=[(0,), 2]),
+    lambda m, f: measure_report(m, f, subsets=5),
+], ids=["set-int", "set-none", "subset-int", "second-subset-int", "subsets-int"])
+def test_non_iterable_variable_sets_are_usage_errors(example1, call):
+    """A variable set, or the list of them, that is not iterable raises
+    UsageError, not Python's TypeError."""
+    manager, root = example1
+    with pytest.raises(UsageError, match="must be iterable"):
+        call(manager, root)
+
+
 def test_weights_length_checked(example1):
     manager, root = example1
     with pytest.raises(WeightError):
@@ -157,6 +172,40 @@ def test_conditional_undefined_when_weight_zero():
     prof = all_joint_probabilities(m, f, w)
     assert prof.conditional[1][0] is None
     assert prof.conditional[1][1] is not None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_conditional_pairs_match_forced_weights(seed):
+    """Each conditional pair is p(f=1) with x's weight pair forced to
+    (1, 0) and to (0, 1), within 1e-12, and each joint is that times
+    p(x=b); a pair is None where p(x=b) = 0, and a variable the function
+    ignores gets exactly (p, p).  Skewed pairs tell p(x=0) from p(x=1)."""
+    rng = random.Random(seed)
+    n = 6
+    unused = rng.randrange(n)
+    skip = 1 << (n - 1 - unused)
+    vec = [rng.getrandbits(1) for _ in range(1 << n)]
+    vec = [vec[i & ~skip] for i in range(1 << n)]     # does not read `unused`
+    pairs = [(1.0, 0.0), (0.0, 1.0), (0.25, 0.75), (0.9, 0.1), (0.5, 0.5)]
+    rng.shuffle(pairs)
+    pairs.insert(unused, (0.3, 0.7))
+    w = VarProbabilities(pairs)
+    m = BddManager(n)
+    root = m.build_from_truth_vector(vec)
+    m.set_order(rng.sample(range(n), n))
+    prof = all_joint_probabilities(m, root, w)
+    p = weighted_sat_probability(m, root, w)
+    assert prof.sat == p
+    assert prof.conditional[unused] == (p, p)
+    for var, pair in enumerate(pairs):
+        for b in (0, 1):
+            got = prof.conditional[var][b]
+            if pair[b] == 0.0:
+                assert got is None
+                continue
+            want = weighted_sat_probability(m, root, w.forced(var, b))
+            assert abs(got - want) <= 1e-12, (var, b)
+            assert abs(prof.joint[var][b] - pair[b] * want) <= 1e-12, (var, b)
 
 
 def test_entropy_example1(example1):

@@ -253,6 +253,15 @@ def test_oracle_rejects_unknown_variables(var):
             conditional_probability(tt, 0, bit)
 
 
+@pytest.mark.parametrize("subsets", [(1,), ((0,), 2), 1, None])
+def test_oracle_rejects_non_iterable_subsets(subsets):
+    """A subset, or the subsets argument, that is not iterable raises
+    ValueError, not Python's TypeError."""
+    tt = TruthTable.from_string(EXAMPLE1_VECTOR)
+    with pytest.raises(ValueError, match="must be iterable"):
+        exact_measures(tt, subsets=subsets)
+
+
 def test_exact_measures_with_extreme_dyadic_weights():
     """Weights far apart in scale share one power-of-two denominator."""
     w = VarProbabilities([(5e-324, 1.0), (1 - 2**-53, 2**-53), (0.1, 0.9)])
