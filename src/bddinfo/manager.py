@@ -309,9 +309,10 @@ class BddManager:
     def evaluate(self, root: int, assignment: Sequence[int]) -> int:
         """Evaluate at an assignment of 0, 1, False or True by variable id."""
         self._check(root)
+        assignment = [_bit(b, UsageError, "assignment entry")
+                      for b in _entries(assignment, UsageError, "assignment")]
         if len(assignment) != self.n:
             raise UsageError(f"assignment must have {self.n} entries")
-        assignment = [_bit(b, UsageError, "assignment entry") for b in assignment]
         u = root
         while u != ZERO and u != ONE:
             var, lo, hi = self._node[u]
@@ -340,21 +341,24 @@ class BddManager:
         return self.count_nodes(self._roots)
 
     def _reachable(self, roots: Iterable[int]) -> set[int]:
-        seen: set[int] = set()
+        """Internal nodes reachable from the roots; each is pushed once."""
+        nodes = self._node
+        seen = {ZERO, ONE}
         stack = []
-        for r in roots:
+        for r in _entries(roots, UsageError, "roots"):
             self._check(r)
-            stack.append(r)
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
         while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            t = self._node.get(u)
-            if t is None:
-                continue
-            seen.add(u)
-            stack.append(t[1])
-            stack.append(t[2])
+            _, lo, hi = nodes[stack.pop()]
+            if lo not in seen:
+                seen.add(lo)
+                stack.append(lo)
+            if hi not in seen:
+                seen.add(hi)
+                stack.append(hi)
+        seen -= {ZERO, ONE}
         return seen
 
     def collect_garbage(self) -> int:
@@ -661,7 +665,8 @@ def _index(value, stop: int | None, error: type[Exception], what: str) -> int:
 def _permutation(order: Iterable[int], n: int, error: type[Exception]) -> list[int]:
     """``order`` as a list, if it is a permutation of 0..n-1 whose every
     entry passes ``_index``; otherwise raise ``error``."""
-    order = [_index(var, n, error, "order entry") for var in order]
+    order = [_index(var, n, error, "order entry")
+             for var in _entries(order, error, "order")]
     if sorted(order) != list(range(n)):
         raise error(f"order must be a permutation of 0..{n - 1}")
     return order

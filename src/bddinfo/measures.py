@@ -34,7 +34,10 @@ its slope, and one top-down pass per depth, carrying the path mass of
 every node the roots' mass reaches there, gives D for every such node
 and every variable at once.  Each assignment to k >= 2 other variables
 of S is one forced pass that recomputes only the levels down to the
-deepest of them, 2^k passes in all.  ``conditional_entropy_set`` asks
+deepest of them, 2^k passes in all; the levels, their children below
+and the frontier are listed once per query as one flat list of values
+with rows of positions (``_flat_part``), so a pass reads and writes
+list slots, not dict entries.  ``conditional_entropy_set`` asks
 one query (``conditional_entropy_var`` through it); ``measure_report``
 asks H(f), every H(f|x) and every subset in one call, and takes p(f=1)
 from the same unforced pass; entropy-guided reordering asks
@@ -83,7 +86,7 @@ class VarProbabilities:
 
     def __init__(self, pairs: Sequence[tuple[float, float]]):
         checked = []
-        for var, pair in enumerate(pairs):
+        for var, pair in enumerate(_entries(pairs, WeightError, "weight pairs")):
             try:
                 p0, p1 = pair
             except (TypeError, ValueError):
@@ -175,21 +178,27 @@ def _check_weights(n: int, w: VarProbabilities | None) -> VarProbabilities:
 
 
 def _levelled(manager: BddManager, roots: Iterable[int]) -> list[int]:
-    """Internal nodes reachable from the roots, top level first, ties by handle."""
-    level, nodes = manager._var_level, manager._node
-    return sorted(manager._reachable(roots),
-                  key=lambda u: (level[nodes[u][0]], u))
+    """Internal nodes reachable from the roots, top level first, ties by
+    handle: one walk, bucketed by variable, each bucket sorted."""
+    nodes = manager._node
+    buckets: list[list[int]] = [[] for _ in range(manager.n)]
+    for u in manager._reachable(roots):
+        buckets[nodes[u][0]].append(u)
+    order = []
+    for var in manager._level_var:
+        bucket = buckets[var]
+        bucket.sort()
+        order += bucket
+    return order
 
 
 def _bottom_up(manager: BddManager, order: list[int],
-               pairs: Sequence[tuple[float, float]],
-               sat: dict[int, float] | None = None) -> dict[int, float]:
+               pairs: Sequence[tuple[float, float]]) -> dict[int, float]:
     """Node probabilities over the level-sorted ``order``, under the weight
-    ``pairs`` indexed by variable.  ``sat`` holds the values of the
-    children below ``order`` (default: the terminals) and is filled in place."""
+    ``pairs`` indexed by variable; ``order`` must hold every internal
+    node below its own nodes."""
     nodes = manager._node
-    if sat is None:
-        sat = {ZERO: 0.0, ONE: 1.0}
+    sat = {ZERO: 0.0, ONE: 1.0}
     for u in reversed(order):
         var, lo, hi = nodes[u]
         p0, p1 = pairs[var]
@@ -337,6 +346,30 @@ def _slopes(manager: BddManager, order: list[int], sat: dict[int, float],
     return slopes
 
 
+def _flat_part(manager: BddManager, part: list[int], sat: dict[int, float],
+               frontiers: list[list[tuple[int, float]]],
+               ) -> tuple[list[tuple[int, int, int, int]], list[float],
+                          list[list[tuple[int, float]]]]:
+    """The level-sorted ``part`` as one flat list for forced passes.
+
+    Returns rows (position, variable, low position, high position),
+    bottom up; the list of values, which holds each part node, each
+    child below the part and each frontier node below it once, with its
+    unforced value from ``sat``; and ``frontiers`` with their nodes as
+    positions.  Every row writes its position before a later row reads
+    it, so one list serves every pass in turn."""
+    nodes = manager._node
+    at: dict[int, int] = {}
+    place = at.setdefault
+    rows = []
+    for u in reversed(part):
+        var, lo, hi = nodes[u]
+        rows.append((place(u, len(at)), var, place(lo, len(at)), place(hi, len(at))))
+    read = [[(place(u, len(at)), mass) for u, mass in frontier]
+            for frontier in frontiers]
+    return rows, [sat[u] for u in at], read
+
+
 def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
                  queries: Sequence[tuple[int, tuple[int, ...]]],
                  w: VarProbabilities, order: list[int] | None = None,
@@ -367,10 +400,13 @@ def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
     variable x, reads D_u[x] from one slope pass per depth (``_slopes``)
     and gives
     H(f_u | x) = p0 * h(p(u) - p1 * D_u) + p1 * h(p(u) + p0 * D_u);
-    k = 0 is this route with no slope.  With k >= 2, each assignment to
-    them is one forced pass over a copy of the unforced values,
-    recomputing only the levels from ``depth`` down to the deepest of
-    them: the nodes below never test them.
+    k = 0 is this route with no slope.  With k >= 2, those levels, from
+    ``depth`` down to the deepest of the k variables, are listed once
+    per query as one flat list of values and rows of positions
+    (``_flat_part``); each assignment to the k variables is one forced
+    pass that recomputes the rows in that list.  The nodes below the
+    levels never test the k variables, so they keep their unforced
+    values.
     """
     nodes, pairs, level = manager._node, w._pairs, manager._var_level
     if order is None:
@@ -426,17 +462,20 @@ def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
                 totals[i] = total
         else:
             part = order[start[depth]:start[max(level[v] for v in rest) + 1]]
+            rows, probs, read = _flat_part(manager, part, sat, frontiers[depth])
             for bits in itertools.product((0, 1), repeat=len(rest)):
                 forced = list(pairs)
                 weight = 1.0
                 for var, value in zip(rest, bits):
                     forced[var] = _FORCED[value]
                     weight *= pairs[var][value]
-                probs = _bottom_up(manager, part, forced, dict(sat))
-                for i, frontier in enumerate(frontiers[depth]):
+                for at, var, lo, hi in rows:
+                    p0, p1 = forced[var]
+                    probs[at] = p0 * probs[lo] + p1 * probs[hi]
+                for i, frontier in enumerate(read):
                     total = totals[i]
-                    for u, mass in frontier:
-                        total += mass * weight * _binary_entropy(probs[u])
+                    for at, mass in frontier:
+                        total += mass * weight * _binary_entropy(probs[at])
                     totals[i] = total
         values.append(sum(totals, 0.0))
     return values, sat

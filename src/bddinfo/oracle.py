@@ -70,6 +70,13 @@ class TruthTable:
         return Fraction(self.ones, self.assignments)
 
 
+def _table(tt) -> TruthTable:
+    """``tt`` if it is a TruthTable, else ValueError."""
+    if not isinstance(tt, TruthTable):
+        raise ValueError(f"expected a TruthTable, got {tt!r}")
+    return tt
+
+
 @functools.lru_cache(maxsize=4096)
 def _var_mask(n: int, var: int, value: int) -> int:
     """Bitmask over assignment indices where the variable takes ``value``.
@@ -144,9 +151,10 @@ def joint_probability(tt: TruthTable, var: int, value: int) -> Fraction:
 
 def conditional_probability(tt: TruthTable, var: int, value: int) -> Fraction:
     """Exact p(f=1 | x=value) under uniform inputs."""
-    mask = _var_mask(tt.n, _index(var, tt.n, ValueError, "variable"),
+    n = _table(tt).n
+    mask = _var_mask(n, _index(var, n, ValueError, "variable"),
                      _index(value, 2, ValueError, "value"))
-    return Fraction((tt.bits & mask).bit_count(), 1 << (tt.n - 1))
+    return Fraction((tt.bits & mask).bit_count(), 1 << (n - 1))
 
 
 def _entropy(num: int, den: int) -> float:
@@ -169,12 +177,13 @@ def exact_measures(tt: TruthTable, w: VarProbabilities | None = None,
     sums p(a)·h(p(f=1, a) / p(a)) over the assignments a to S, with p(a)
     and p(f=1, a) integers over powers of 2**e: a count of assignments
     under uniform weights, else a sum of per-assignment products.  Only
-    the entropy step is float.  Weights that are not VarProbabilities
-    over n variables raise WeightError; ``subsets`` or a subset that is
-    not iterable, or a subset variable that is not an int in 0..n-1 (a
-    bool, a float), raises ValueError.
+    the entropy step is float.  A ``tt`` that is not a TruthTable raises
+    ValueError.  Weights that are not VarProbabilities over n variables
+    raise WeightError; ``subsets`` or a subset that is not iterable, or
+    a subset variable that is not an int in 0..n-1 (a bool, a float),
+    raises ValueError.
     """
-    n = tt.n
+    n = _table(tt).n
     w = _check_weights(n, w)
     keys = [tuple(sorted({_index(v, n, ValueError, "variable")
                           for v in _entries(subset, ValueError, "a subset")}))
@@ -255,7 +264,7 @@ def bdd_size_for_order(tt: TruthTable, order) -> int:
     Counts, level by level, the distinct subfunctions that still depend
     on the level's variable; no BDD is built.
     """
-    order = _permutation(order, tt.n, ValueError)
+    order = _permutation(order, _table(tt).n, ValueError)
     rem = list(range(tt.n))
     tables = {tt.bits}
     size = 0
@@ -278,7 +287,7 @@ def best_order_exhaustive(tt: TruthTable) -> tuple[list[int], int]:
     once.  On a tie the later candidate wins, so the smallest variable
     of S goes last.
     """
-    n = tt.n
+    n = _table(tt).n
     if n > MAX_ORDER_SEARCH_VARS:
         raise OracleLimitError(f"refusing order search over {n} variables")
     tables = {0: {tt.bits}}       # placed-set mask -> its subfunctions

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 # perfbench/tracer.py wraps copy_function and conditional_entropy_var here.
-from .manager import BddManager, BddError, copy_function
+from .manager import BddManager, BddError, UsageError, _entries, copy_function
 from .measures import VarProbabilities, _check_weights, conditional_entropy_var
 from . import measures, oracle
 
@@ -71,7 +71,8 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     the clone keeps ``manager.node_limit``.
     """
     t0 = time.perf_counter()
-    roots = list(manager.registered_roots if roots is None else roots)
+    roots = list(manager.registered_roots if roots is None
+                 else _entries(roots, UsageError, "roots"))
     registered = set(manager.registered_roots)
     for r in roots:
         if r not in registered:

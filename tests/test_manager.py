@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from bddinfo import (
     AND, ONE, OR, XOR, ZERO,
     BddManager, InputError, ManagerMismatchError, NodeLimitError,
-    OrderingError, TruthTable, UsageError, copy_function, entropy, enumerate_bdd,
+    OrderingError, TruthTable, UsageError, VarProbabilities, WeightError,
+    bdd_size_for_order, copy_function, entropy, enumerate_bdd, info_reorder,
+    sift, window_permute,
 )
 from bddinfo.manager import _SLOT
 
@@ -829,3 +831,26 @@ def test_bad_constructor_arguments():
         BddManager(3, order=[0, 1, 1])
     with pytest.raises(ValueError):
         BddManager(2, order=[0])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda m, f: m.set_order(5), UsageError),
+    (lambda m, f: m.count_nodes(5), UsageError),
+    (lambda m, f: m.evaluate(f, 5), UsageError),
+    (lambda m, f: VarProbabilities(5), WeightError),
+    (lambda m, f: info_reorder(m, roots=5), UsageError),
+    (lambda m, f: sift(m, roots=5), UsageError),
+    (lambda m, f: window_permute(m, roots=5), UsageError),
+    (lambda m, f: bdd_size_for_order(enumerate_bdd(m, f), 5), ValueError),
+], ids=["set_order", "count_nodes", "evaluate", "VarProbabilities",
+        "info_reorder", "sift", "window_permute", "bdd_size_for_order"])
+def test_non_iterable_collections_raise_the_module_error(call, error):
+    """A collection argument that is not iterable raises its module's
+    error, not Python's TypeError, and the reorderers refuse it before
+    they register a root or sweep: the unregistered function survives."""
+    m = BddManager(3)
+    f = m.build_from_truth_vector(EXAMPLE1_VECTOR)
+    before = (len(m), m.registered_roots, m.order)
+    with pytest.raises(error, match="must be iterable"):
+        call(m, f)
+    assert (len(m), m.registered_roots, m.order) == before

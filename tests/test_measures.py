@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,9 +14,12 @@ from bddinfo import (
     mutual_information, reach_probabilities, weighted_sat_probability,
 )
 
+from bddinfo import measures
 from bddinfo.cli import load_circuit
 
-from conftest import DATA, EXAMPLE1_VECTOR, H_F, H_F_X1, H_F_X1X2, H_F_X2
+from conftest import (
+    DATA, EXAMPLE1_VECTOR, H_F, H_F_X1, H_F_X1X2, H_F_X2, random_function,
+)
 
 TOL = 1e-9
 
@@ -369,6 +373,108 @@ def test_mutual_information_walks_the_graph_once(walks):
                 assert len(walks) == 1
                 assert mi == entropy(m, root, w) - \
                     conditional_entropy_var(m, root, var, w)
+
+
+def _forced_reference(m, root, given, w):
+    """H(f|S) for a set S with k >= 2 variables below its top run of
+    levels, by the per-node dict pass: push the root's mass through the
+    top run, then for each assignment to the k variables recompute the
+    levels down to the deepest of them in a copy of the unforced node
+    probabilities.  Returns (H, depth of the top run, frontier size),
+    or None when k < 2."""
+    depth = 0
+    while depth < m.n and m.var_at_level(depth) in given:
+        depth += 1
+    rest = sorted(set(given).difference(m.order[:depth]))
+    if len(rest) < 2:
+        return None
+    pairs = [w.pair(var) for var in range(m.n)]
+    nodes = sorted(m._reachable([root]), key=lambda u: (m.level_of(u), u))
+    reach = {root: 1.0}
+    for u in nodes:
+        if m.level_of(u) < depth and u in reach:
+            mass = reach.pop(u)
+            var, lo, hi = m.node(u)
+            p0, p1 = pairs[var]
+            reach[lo] = reach.get(lo, 0.0) + mass * p0
+            reach[hi] = reach.get(hi, 0.0) + mass * p1
+    frontier = [(u, reach[u]) for u in nodes if u in reach]
+    sat = {ZERO: 0.0, ONE: 1.0}
+    for u in reversed(nodes):
+        var, lo, hi = m.node(u)
+        p0, p1 = pairs[var]
+        sat[u] = p0 * sat[lo] + p1 * sat[hi]
+    bottom = max(m.level_of_var(var) for var in rest)
+    part = [u for u in nodes if depth <= m.level_of(u) <= bottom]
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=len(rest)):
+        forced = list(pairs)
+        weight = 1.0
+        for var, value in zip(rest, bits):
+            forced[var] = ((1.0, 0.0), (0.0, 1.0))[value]
+            weight *= pairs[var][value]
+        probs = dict(sat)
+        for u in reversed(part):
+            var, lo, hi = m.node(u)
+            p0, p1 = forced[var]
+            probs[u] = p0 * probs[lo] + p1 * probs[hi]
+        for u, mass in frontier:
+            total += mass * weight * measures._binary_entropy(probs[u])
+    return total, depth, len(frontier)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_forced_route_matches_the_dict_pass(seed):
+    """Every H(f|S) with k >= 2 variables below S's top run, from
+    ``conditional_entropy_set`` and from ``measure_report``, is the float
+    the per-node dict pass gives: random functions of 5 to 8 variables
+    under a shuffled order, uniform and skewed weights, subsets of 2 to
+    4 variables, some holding the top variables, so that several
+    frontier nodes hand their mass down."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    order = list(range(n))
+    rng.shuffle(order)
+    m = BddManager(n, order=order)
+    root = m.build_from_truth_vector(random_function(rng, n))
+    skewed = VarProbabilities([(1 - k / 16, k / 16)
+                               for k in (rng.randint(0, 16) for _ in range(n))])
+    subsets = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(6)]
+    subsets += [order[:top] + rng.sample(order[top:], 2) for top in (1, 2)]
+    deep = []
+    for w in (None, skewed):
+        report = measure_report(m, root, w, subsets=subsets)
+        for subset in subsets:
+            found = _forced_reference(m, root, subset, w or VarProbabilities.uniform(n))
+            if found is None:
+                continue
+            want, depth, width = found
+            if depth > 0:
+                deep.append(width)
+            assert conditional_entropy_set(m, root, subset, w).hex() == want.hex()
+            assert report.set_entropy[tuple(sorted(subset))].hex() == want.hex()
+    assert max(deep) >= 2
+
+
+def test_measure_report_makes_one_bottom_up_pass(monkeypatch):
+    """The 2^k forced passes of a subset run over its flat list, so a
+    report with a 2- and a 3-variable subset below the top variable
+    calls ``_bottom_up`` once, for the unforced pass."""
+    circuit = load_circuit(str(DATA / "s27.blif"))
+    m = circuit.manager
+    calls = []
+    bottom_up = measures._bottom_up
+
+    def counted(*args):
+        calls.append(args)
+        return bottom_up(*args)
+
+    monkeypatch.setattr(measures, "_bottom_up", counted)
+    below = m.order[1:]
+    for _, root in circuit.outputs:
+        calls.clear()
+        measure_report(m, root, subsets=[below[:2], below[2:5]])
+        assert len(calls) == 1
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())

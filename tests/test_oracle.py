@@ -262,6 +262,22 @@ def test_oracle_rejects_non_iterable_subsets(subsets):
         exact_measures(tt, subsets=subsets)
 
 
+@pytest.mark.parametrize("call", [
+    lambda tt: exact_measures(tt),
+    lambda tt: best_order_exhaustive(tt),
+    lambda tt: bdd_size_for_order(tt, [0, 1, 2]),
+    lambda tt: joint_probability(tt, 0, 1),
+    lambda tt: conditional_probability(tt, 0, 1),
+], ids=["exact_measures", "best_order_exhaustive", "bdd_size_for_order",
+        "joint_probability", "conditional_probability"])
+def test_oracle_refuses_tables_that_are_not_truth_tables(call):
+    """A table argument that is not a TruthTable raises ValueError, not
+    Python's AttributeError."""
+    for table in (5, EXAMPLE1_VECTOR, None):
+        with pytest.raises(ValueError, match="expected a TruthTable"):
+            call(table)
+
+
 def test_exact_measures_with_extreme_dyadic_weights():
     """Weights far apart in scale share one power-of-two denominator."""
     w = VarProbabilities([(5e-324, 1.0), (1 - 2**-53, 2**-53), (0.1, 0.9)])
