@@ -165,25 +165,22 @@ class BddManager:
 
     def _mk(self, var: int, lo: int, hi: int) -> int:
         """mk_node without its checks, for callers that pass live,
-        distinct children lying below ``var``'s level."""
+        distinct children lying below ``var``'s level: find the node in
+        ``var``'s unique table, or store it under a fresh handle."""
         key = (var, lo, hi)
-        found = self._unique[var].get(key)
+        table = self._unique[var]
+        found = table.get(key)
         if found is not None:
             return found
         if self._node_limit is not None and len(self._node) >= self._node_limit:
             raise NodeLimitError(f"node limit {self._node_limit} reached")
-        return self._add(key)
-
-    def _add(self, key: tuple[int, int, int]) -> int:
-        """Store a node the caller found reduced, ordered and not yet
-        interned, under a fresh handle."""
         refs = self._refs
         ref = self._base + len(refs)
         refs.append(0)
-        refs[key[1] & _SLOT] += 1
-        refs[key[2] & _SLOT] += 1
+        refs[lo & _SLOT] += 1
+        refs[hi & _SLOT] += 1
         self._node[ref] = key
-        self._unique[key[0]][key] = ref
+        table[key] = ref
         return ref
 
     def literal(self, var: int, phase: int = 1) -> int:
@@ -215,14 +212,23 @@ class BddManager:
         so the depth is not bounded by Python's recursion limit, and
         handles are minted in the order a recursion would mint them.
         When f is a literal above g and h, the node (f's variable, h, g)
-        is interned at once, with no split and no cache entry."""
+        is interned at once, with no split and no cache entry.  Every
+        node is interned at one inline block, ``_mk``'s lookup, limit
+        check and mint in that order, with no call per node."""
         cache = self._cache
         nodes = self._node
         level = self._var_level
+        level_var = self._level_var
+        unique = self._unique
+        refs = self._refs
+        base = self._base
+        limit = self._node_limit
+        mask = _SLOT
         n = self.n
-        mk = self._mk
         # Splits whose halves are not both solved: (key, var, f1, g1, h1)
-        # while the low half is solved, then (key, var, r0) while the high.
+        # while the low half is solved, then (key, var, r0) while the
+        # high.  A literal f waits as (None, var, h) with g as its high
+        # half, so it is interned by the same block and never cached.
         waiting = []
         while True:
             if g == f:
@@ -248,13 +254,27 @@ class BddManager:
                     lg = n if tg is None else level[tg[0]]
                     lh = n if th is None else level[th[0]]
                     if lf < lg and lf < lh and tf[1] == ZERO and tf[2] == ONE:
-                        r = mk(tf[0], h, g)     # f is a literal above g and h
+                        waiting.append((None, tf[0], h))  # f is a literal above g and h
+                        r = g
                     else:
-                        top = min(lf, lg, lh)
-                        _, f0, f1 = tf if lf == top else (0, f, f)
-                        _, g0, g1 = tg if lg == top else (0, g, g)
-                        _, h0, h1 = th if lh == top else (0, h, h)
-                        waiting.append((key, self._level_var[top], f1, g1, h1))
+                        top = lf
+                        if lg < top:
+                            top = lg
+                        if lh < top:
+                            top = lh
+                        if lf == top:
+                            _, f0, f1 = tf
+                        else:
+                            f0 = f1 = f
+                        if lg == top:
+                            _, g0, g1 = tg
+                        else:
+                            g0 = g1 = g
+                        if lh == top:
+                            _, h0, h1 = th
+                        else:
+                            h0 = h1 = h
+                        waiting.append((key, level_var[top], f1, g1, h1))
                         f, g, h = f0, g0, h0
                         continue
             while waiting:              # r solves the half on top of the stack
@@ -264,9 +284,22 @@ class BddManager:
                     waiting.append((key, var, r))
                     break
                 key, var, r0 = split
-                if r0 != r:
-                    r = mk(var, r0, r)
-                cache[key] = r
+                if r0 != r:     # _mk inlined: the children are live, below var
+                    k = (var, r0, r)
+                    table = unique[var]
+                    u = table.get(k)
+                    if u is None:
+                        if limit is not None and len(nodes) >= limit:
+                            raise NodeLimitError(f"node limit {limit} reached")
+                        u = base + len(refs)
+                        refs.append(0)
+                        refs[r0 & mask] += 1
+                        refs[r & mask] += 1
+                        nodes[u] = k
+                        table[k] = u
+                    r = u
+                if key is not None:
+                    cache[key] = r
             else:
                 return r
 
@@ -451,8 +484,9 @@ class BddManager:
                 f10, f11 = t1[1], t1[2]
             else:
                 f10 = f11 = f1
-            # _mk without its checks, and _add inlined: the children are
-            # live and lie below both levels, and the limit was checked.
+            # _mk without its checks, and _mk's intern step inlined: the
+            # children are live and lie below both levels, and the limit
+            # was checked.
             if f00 == f10:
                 g0 = f00
             else:
@@ -573,9 +607,10 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
     subst = {} if _subst is None else _subst
     nodes = src._node
     dst_nodes = dst._node
-    level = dst._ref_level
+    dst_n = dst.n
     var_level = dst._var_level
     mk = dst._mk
+    ite = dst._ite
     stack = [ref]
     while stack:
         u = stack[-1]
@@ -588,17 +623,23 @@ def copy_function(src: BddManager, ref: int, dst: BddManager,
         if l is not None and h is not None:
             s = subst.get(var)
             if s is None:
-                x = dst._check_var(var)
+                if var >= dst_n:
+                    dst._check_var(var)     # raises: dst lacks the variable
+                x = var
             else:                       # the literal s stands for, if any
                 t = dst_nodes.get(s)
                 x = t[0] if t is not None and t[1] == ZERO and t[2] == ONE else None
             if l == h:
                 memo[u] = l
-            elif x is not None and var_level[x] < level(l) \
-                    and var_level[x] < level(h):
-                memo[u] = mk(x, l, h)
             else:
-                memo[u] = dst._ite(mk(var, ZERO, ONE) if s is None else s, h, l)
+                tl = dst_nodes.get(l)
+                th = dst_nodes.get(h)
+                if x is not None and \
+                        (tl is None or var_level[x] < var_level[tl[0]]) and \
+                        (th is None or var_level[x] < var_level[th[0]]):
+                    memo[u] = mk(x, l, h)
+                else:
+                    memo[u] = ite(mk(var, ZERO, ONE) if s is None else s, h, l)
             stack.pop()
             continue
         if l is None:

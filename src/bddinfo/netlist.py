@@ -335,10 +335,10 @@ def build_circuit_bdds(netlist: Netlist, manager: BddManager) -> dict[str, int]:
     # A cover that occurs more than once (an adder's XOR2, AND2 and MAJ3)
     # is built once per call; one that occurs once, such as each output
     # of a wide PLA, is dropped after use.
-    count = Counter(_cover_key(gate) for gate in netlist.gates)
+    keys = [_cover_key(gate) for gate in netlist.gates]
+    count = Counter(keys)
     covers: dict[tuple, tuple[BddManager, int]] = {}
-    for gate in netlist.gates:
-        key = _cover_key(gate)
+    for gate, key in zip(netlist.gates, keys):
         try:
             cover = covers.get(key) or _cover_bdd(*key, manager.node_limit)
             if count[key] > 1:

@@ -38,10 +38,13 @@ def rng():
 def assert_manager_consistent(m: BddManager) -> None:
     """Rebuild the per-variable unique tables and the reference counts
     (parent nodes plus root registrations) from the node store and
-    compare them with the manager's own."""
+    compare them with the manager's own.  The store also iterates in
+    handle order, and every handle's slot lies inside the counts."""
+    assert list(m._node) == sorted(m._node)
     tables = [{} for _ in range(m.n)]
     counts = Counter(m.registered_roots)
     for u, key in m._node.items():
+        assert 2 <= u & _SLOT < len(m._refs), u
         var, lo, hi = key
         assert lo != hi
         assert m.level_of(u) < min(m.level_of(lo), m.level_of(hi))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -467,14 +468,14 @@ def test_swap_storm_keeps_unique_table_canonical(rng):
 def _reference_swap(m, level):
     """The level swap as written before its loop was inlined: the same
     walk through the upper table in handle order, interning through
-    ``_add``."""
+    ``_mk``."""
     x = m._level_var[level]
     y = m._level_var[level + 1]
     xtable = m._unique[x]
     ytable = m._unique[y]
     nodes = m._node
     refs = m._refs
-    add = m._add
+    mk = m._mk
     m._level_var[level] = y
     m._level_var[level + 1] = x
     m._var_level[x] = level + 1
@@ -492,10 +493,8 @@ def _reference_swap(m, level):
         del xtable[key]
         f00, f01 = (t0[1], t0[2]) if y0 else (f0, f0)
         f10, f11 = (t1[1], t1[2]) if y1 else (f1, f1)
-        k0 = (x, f00, f10)
-        k1 = (x, f01, f11)
-        g0 = f00 if f00 == f10 else xtable.get(k0) or add(k0)
-        g1 = f01 if f01 == f11 else xtable.get(k1) or add(k1)
+        g0 = f00 if f00 == f10 else mk(x, f00, f10)
+        g1 = f01 if f01 == f11 else mk(x, f01, f11)
         assert g0 != g1
         key = (y, g0, g1)
         nodes[u] = key
@@ -792,6 +791,170 @@ def test_ite_does_not_recurse():
             assignment[v] = 1
         assert m.evaluate(r, assignment) == value
     assert_manager_consistent(m)
+
+
+def _reference_ite(m, f, g, h):
+    """The if-then-else kernel as written before it interned its own
+    nodes: the same splits, low half first, and every node interned
+    through ``m._mk``."""
+    cache = m._cache
+    nodes = m._node
+    level = m._var_level
+    n = m.n
+    mk = m._mk
+    waiting = []
+    while True:
+        if g == f:
+            g = ONE
+        if h == f:
+            h = ZERO
+        if f == ONE or g == h:
+            r = g
+        elif f == ZERO:
+            r = h
+        elif g == ONE and h == ZERO:
+            r = f
+        else:
+            if g == ONE and f > h:
+                f, h = h, f
+            elif h == ZERO and f > g:
+                f, g = g, f
+            key = (f, g, h)
+            r = cache.get(key)
+            if r is None:
+                tf, tg, th = nodes[f], nodes.get(g), nodes.get(h)
+                lf = level[tf[0]]
+                lg = n if tg is None else level[tg[0]]
+                lh = n if th is None else level[th[0]]
+                if lf < lg and lf < lh and tf[1] == ZERO and tf[2] == ONE:
+                    r = mk(tf[0], h, g)
+                else:
+                    top = min(lf, lg, lh)
+                    _, f0, f1 = tf if lf == top else (0, f, f)
+                    _, g0, g1 = tg if lg == top else (0, g, g)
+                    _, h0, h1 = th if lh == top else (0, h, h)
+                    waiting.append((key, m._level_var[top], f1, g1, h1))
+                    f, g, h = f0, g0, h0
+                    continue
+        while waiting:
+            split = waiting.pop()
+            if len(split) == 5:
+                key, var, f, g, h = split
+                waiting.append((key, var, r))
+                break
+            key, var, r0 = split
+            if r0 != r:
+                r = mk(var, r0, r)
+            cache[key] = r
+        else:
+            return r
+
+
+def _reference_twin(m):
+    """A clone of ``m``, taken while its op cache is empty, that mints
+    the same handles and builds every gate, cofactor and copy through
+    ``_reference_ite``."""
+    assert not m._cache
+    ref = m.clone()
+    ref._base = m._base
+    ref._ite = functools.partial(_reference_ite, ref)
+    return ref
+
+
+def test_ite_kernel_matches_reference_ite(rng):
+    """After every operation of a random storm (AND, OR, XOR, NOT,
+    cofactors, copies from another order and ``_ite`` of a literal,
+    over repeated operands), the node store in order, the reference
+    counts and the op cache equal those of the reference kernel's twin."""
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        m = BddManager(n, order=rng.sample(range(n), n))
+        pool = [ZERO, ONE] + [m.build_from_truth_vector(random_function(rng, n))
+                              for _ in range(3)]
+        ref = _reference_twin(m)
+        src = BddManager(n, order=rng.sample(range(n), n))
+        copies = [src.build_from_truth_vector(random_function(rng, n))
+                  for _ in range(2)]
+        for _ in range(30):
+            a, b = rng.choice(pool), rng.choice(pool)
+            kind = rng.randrange(7)
+            if kind < 3:
+                op = (AND, OR, XOR)[kind]
+                run = lambda x: x.apply(op, a, b)
+            elif kind == 3:
+                run = lambda x: x.negate(a)
+            elif kind == 4:
+                var, value = rng.randrange(n), rng.randrange(2)
+                run = lambda x: x.cofactor(a, var, value)
+            elif kind == 5:
+                f = rng.choice(copies)
+                run = lambda x: copy_function(src, f, x)
+            else:
+                # Mostly a literal above both operands, so the literal
+                # route runs; otherwise any variable.
+                top = min(m.level_of(a), m.level_of(b))
+                var = m.var_at_level(rng.randrange(top)) \
+                    if top and rng.random() < 0.7 else rng.randrange(n)
+                run = lambda x: x._ite(x.literal(var), a, b)
+            r = run(m)
+            assert run(ref) == r
+            pool.append(r)
+            assert list(m._node.items()) == list(ref._node.items())
+            assert m._refs == ref._refs
+            assert list(m._cache.items()) == list(ref._cache.items())
+        assert_manager_consistent(m)
+
+
+def test_node_limit_parity_with_reference_ite(rng):
+    """An apply, and a copy from another order into a limited
+    destination, that mint k nodes unbounded: under every limit from the
+    live count to k more, the kernel raises NodeLimitError exactly when
+    the reference kernel does, and both leave the same node store and
+    reference counts."""
+    n = 8
+    m = BddManager(n)
+    a, b = (m.build_from_truth_vector(random_function(rng, n)) for _ in range(2))
+    src = BddManager(n, order=rng.sample(range(n), n))
+    f = src.build_from_truth_vector(random_function(rng, n))
+    for run in (lambda x: x.apply(XOR, a, b), lambda x: copy_function(src, f, x)):
+        probe = m.clone()
+        run(probe)
+        k = len(probe) - len(m)
+        assert k >= 20
+        for limit in range(len(m), len(m) + k + 1):
+            new, ref = m.clone(), _reference_twin(m)
+            new._base = m._base
+            raised = []
+            for x in (new, ref):
+                x.node_limit = limit
+                try:
+                    run(x)
+                    raised.append(False)
+                except NodeLimitError:
+                    raised.append(True)
+            assert raised == [limit < len(m) + k] * 2
+            assert list(new._node.items()) == list(ref._node.items())
+            assert new._refs == ref._refs
+            assert_manager_consistent(new)
+
+
+def test_apply_interns_without_calling_mk(monkeypatch, rng):
+    """``_ite`` interns at its own inline block: an apply that mints
+    over a hundred nodes makes no ``_mk`` call."""
+    m = BddManager(10)
+    a, b = (m.build_from_truth_vector(random_function(rng, 10)) for _ in range(2))
+    calls = []
+    mk = BddManager._mk
+
+    def counted(self, *args):
+        calls.append(args)
+        return mk(self, *args)
+
+    monkeypatch.setattr(BddManager, "_mk", counted)
+    before = len(m)
+    m.apply(XOR, a, b)
+    assert len(m) - before >= 100
+    assert not calls
 
 
 def test_evaluate(example1):
