@@ -6,10 +6,14 @@ Subcommands:
   compare       size (and optional timing) of several methods side by side
   oracle-check  brute-force agreement suite, nonzero exit on mismatch
 
-Machine formats (csv, json) are byte-deterministic: fixed field order,
-6-decimal fixed point for bits and probabilities, and no timing values
-unless --timing is given.  Exit codes: 0 ok, 1 input/parse error,
-2 usage, 3 oracle mismatch.
+Each of measures, reorder and compare builds its record rows once,
+with the lines of its human table, and hands both to one emitter,
+``_emit``, which writes the rows as JSON or as CSV under fixed columns,
+or writes the table lines, as --format asks.  Machine formats (csv,
+json) are byte-deterministic: fixed field order, 6-decimal fixed point
+for bits and probabilities, and no timing values unless --timing is
+given.  Exit codes: 0 ok, 1 input/parse error, 2 usage, 3 oracle
+mismatch.
 """
 
 from __future__ import annotations
@@ -89,54 +93,42 @@ def load_circuit(path: str, node_limit: int | None = None) -> LoadedCircuit:
                          outputs=outputs, input_names=parsed.cut_inputs)
 
 
-# -- deterministic emitters ---------------------------------------------------
+# -- the one emitter ----------------------------------------------------------
 
 def _fmt6(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _json(value) -> str:
+    """``value`` as JSON, with every float in 6-decimal fixed point."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json(k)}: {_json(v)}"
+                               for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_json, value)) + "]"
     if isinstance(value, float):
         return _fmt6(value)
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(str(value), ensure_ascii=False)
+    if not (value is None or isinstance(value, int)):
+        value = str(value)
+    return json.dumps(value, ensure_ascii=False)
 
 
-def _json_value(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        inner = ", ".join(f'{_json_scalar(k)}: {_json_value(v)}'
-                          for k, v in value.items())
-        return "{" + inner + "}"
-    return _json_scalar(value)
-
-
-def _emit_json(rows, out) -> None:
-    out.write("[\n")
-    for i, row in enumerate(rows):
-        out.write("  " + _json_value(row))
-        out.write(",\n" if i + 1 < len(rows) else "\n")
-    out.write("]\n")
-
-
-def _emit_csv(rows, columns, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row[c] is None else
-                         (_fmt6(row[c]) if isinstance(row[c], float) else row[c])
-                         for c in columns])
-
-
-def _emit_table(lines, out) -> None:
-    for line in lines:
-        out.write(line + "\n")
+def _emit(out, fmt: str, rows: list[dict], table: list[str],
+          columns: tuple[str, ...] = ()) -> int:
+    """Write ``rows`` as a JSON list, one row a line, or as CSV under
+    ``columns``, or write the ``table`` lines, as ``fmt`` asks."""
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt6(row[c]) if isinstance(row[c], float)
+                             else row[c] for c in columns])
+        return 0
+    if fmt == "json":
+        items = ["  " + _json(row) for row in rows]
+        table = ["[", *[item + "," for item in items[:-1]], *items[-1:], "]"]
+    out.write("".join(line + "\n" for line in table))
+    return 0
 
 
 def _align(rows: list[list[str]]) -> list[str]:
@@ -149,7 +141,6 @@ def _align(rows: list[list[str]]) -> list[str]:
 
 def _cmd_measures(args, out) -> int:
     circuit = load_circuit(args.file, args.node_limit)
-    manager = circuit.manager
     names = circuit.input_names
     selected_outputs = _select(args.outputs, [n for n, _ in circuit.outputs],
                                "output")
@@ -160,7 +151,7 @@ def _cmd_measures(args, out) -> int:
     for out_name, root in circuit.outputs:
         if out_name not in selected_outputs:
             continue
-        report = measures_mod.measure_report(manager, root)
+        report = measures_mod.measure_report(circuit.manager, root)
         values = [("", "H", report.entropy)] + [
             (var_name, "H|x", report.cond_entropy[var])
             for var, var_name in enumerate(names) if var_name in selected_vars]
@@ -168,13 +159,9 @@ def _cmd_measures(args, out) -> int:
                      "variable": var_name, "measure": measure, "value": value}
                     for var_name, measure, value in values)
         table.append([out_name] + [f"{value:.2f}" for _, _, value in values])
-    if args.format == "json":
-        _emit_json(rows, out)
-    elif args.format == "csv":
-        _emit_csv(rows, ["circuit", "output", "variable", "measure", "value"], out)
-    else:
-        _emit_table([f"circuit: {circuit.name}"] + _align(table), out)
-    return 0
+    return _emit(out, args.format, rows,
+                 [f"circuit: {circuit.name}"] + _align(table),
+                 ("circuit", "output", "variable", "measure", "value"))
 
 
 def _run_method(manager: BddManager, method: str, window: int):
@@ -197,43 +184,32 @@ def _run_method(manager: BddManager, method: str, window: int):
 
 def _cmd_reorder(args, out) -> int:
     circuit = load_circuit(args.file, args.node_limit)
-    manager = circuit.manager
     names = circuit.input_names
-    trace = _run_method(manager, args.method, args.window)
-
-    def order_names(order):
-        return ",".join(names[v] for v in order)
-
-    if args.format == "json":
-        record = {"circuit": circuit.name, "method": trace.method,
-                  "size_before": trace.initial_size,
-                  "size_after": trace.final_size,
-                  "order_before": order_names(trace.initial_order),
-                  "order_after": order_names(trace.final_order)}
-        if args.trace:
-            record["steps"] = [
-                {"level": step.level,
-                 "chosen": None if step.chosen is None else names[step.chosen],
-                 "tie": step.tie, "size_after": step.size_after,
-                 "scores": [[names[var], score] for var, score in step.scores]}
-                for step in trace.steps]
-        _emit_json([record], out)
-    else:
-        lines = [f"circuit: {circuit.name}  method: {trace.method}",
-                 f"size: {trace.initial_size} -> {trace.final_size}",
-                 f"order: {order_names(trace.initial_order)} -> "
-                 f"{order_names(trace.final_order)}"]
-        if args.trace:
-            for step in trace.steps:
-                chosen = "-" if step.chosen is None else names[step.chosen]
-                scores = " ".join(f"{names[var]}={score:.6f}"
-                                  for var, score in step.scores)
-                tie = " (tie)" if step.tie else ""
-                lines.append(f"level {step.level}: chosen {chosen}{tie}"
-                             f"  size {step.size_after}"
-                             + (f"  scores: {scores}" if scores else ""))
-        _emit_table(lines, out)
-    return 0
+    trace = _run_method(circuit.manager, args.method, args.window)
+    before, after = (",".join(names[v] for v in order)
+                     for order in (trace.initial_order, trace.final_order))
+    record = {"circuit": circuit.name, "method": trace.method,
+              "size_before": trace.initial_size,
+              "size_after": trace.final_size,
+              "order_before": before, "order_after": after}
+    table = [f"circuit: {circuit.name}  method: {trace.method}",
+             f"size: {trace.initial_size} -> {trace.final_size}",
+             f"order: {before} -> {after}"]
+    if args.trace:
+        record["steps"] = []
+        for step in trace.steps:
+            chosen = None if step.chosen is None else names[step.chosen]
+            scores = [[names[var], score] for var, score in step.scores]
+            record["steps"].append(
+                {"level": step.level, "chosen": chosen, "tie": step.tie,
+                 "size_after": step.size_after, "scores": scores})
+            shown = " ".join(f"{name}={_fmt6(score)}" for name, score in scores)
+            tie = " (tie)" if step.tie else ""
+            table.append(f"level {step.level}: chosen "
+                         f"{'-' if chosen is None else chosen}{tie}"
+                         f"  size {step.size_after}"
+                         + (f"  scores: {shown}" if shown else ""))
+    return _emit(out, args.format, [record], table)
 
 
 def _cmd_compare(args, out) -> int:
@@ -244,26 +220,21 @@ def _cmd_compare(args, out) -> int:
             raise InputError(f"unknown method {method!r}")
     base = circuit.manager
     rows = []
+    table = [["method", "size", "millis"]]
     for method in methods:
         manager = base.clone()
         t0 = time.perf_counter()
         trace = _run_method(manager, method, args.window)
         elapsed_ms = int((time.perf_counter() - t0) * 1000)
+        millis = elapsed_ms if args.timing else None
         rows.append({"circuit": circuit.name, "method": method,
-                     "size": trace.final_size,
-                     "millis": elapsed_ms if args.timing else None})
-    if args.format == "json":
-        _emit_json(rows, out)
-    elif args.format == "csv":
-        _emit_csv(rows, ["circuit", "method", "size", "millis"], out)
-    else:
-        table = [["method", "size", "millis"]]
-        for row in rows:
-            table.append([row["method"], str(row["size"]),
-                          "-" if row["millis"] is None else str(row["millis"])])
-        _emit_table([f"circuit: {circuit.name}  initial size: "
-                     f"{circuit.manager.shared_size()}"] + _align(table), out)
-    return 0
+                     "size": trace.final_size, "millis": millis})
+        table.append([method, str(trace.final_size),
+                      "-" if millis is None else str(millis)])
+    return _emit(out, args.format, rows,
+                 [f"circuit: {circuit.name}  initial size: "
+                  f"{base.shared_size()}"] + _align(table),
+                 ("circuit", "method", "size", "millis"))
 
 
 def _cmd_oracle_check(args, out) -> int:

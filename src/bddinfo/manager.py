@@ -399,13 +399,14 @@ class BddManager:
 
         Returns the number of retired nodes.  Handles not covered by a
         root are invalid afterwards; retired ids are never reused.  When
-        anything is dead, the node store, the unique tables and the
-        reference counts are rebuilt in place from the survivors, in
-        handle order, so the cost follows the live nodes, not the dead.
-        Rebuilding also shrinks the node dict and the unique tables to
-        the survivors, which deleting the dead in place would not: their
-        hash tables would keep the size of the largest build.  The op
-        cache is cleared either way.
+        anything is dead, a new node store, new unique tables and new
+        reference counts are built aside from the survivors, in handle
+        order, and installed in one assignment, so the cost follows the
+        live nodes, not the dead, and an exception raised anywhere in
+        the sweep leaves the manager as it was or swept, never half way.
+        The new node dict and unique tables have the survivors' size;
+        deleting the dead in place would keep the hash tables of the
+        largest build.  The op cache is cleared either way.
         """
         self._cache.clear()
         keep = self._reachable(self._roots)
@@ -413,20 +414,16 @@ class BddManager:
         dead = len(nodes) - len(keep)
         if not dead:
             return 0
-        live = [(u, nodes[u]) for u in sorted(keep)]
-        nodes.clear()
-        unique = self._unique
-        for table in unique:
-            table.clear()
-        refs = self._refs
-        refs[:] = array("I", (0,)) * len(refs)
+        live = {u: nodes[u] for u in sorted(keep)}
+        unique = [{} for _ in self._unique]
+        refs = array("I", (0,)) * len(self._refs)
         for r in self._roots:
             refs[r & _SLOT] += 1
-        for u, key in live:
-            nodes[u] = key
+        for u, key in live.items():
             unique[key[0]][key] = u
             refs[key[1] & _SLOT] += 1
             refs[key[2] & _SLOT] += 1
+        self._node, self._unique, self._refs = live, unique, refs
         return dead
 
     # -- reordering substrate -----------------------------------------------

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import json
+import re
 import shlex
 
 import pytest
@@ -16,7 +18,15 @@ GOLDEN = DATA / "golden"
 GOLDEN_RUNS = [(("compare", "--format", "csv"), "compare_{}.csv"),
                (("measures", "--format", "csv"), "measures_{}.csv")] + [
     (("reorder", "--method", method, "--trace", "--format", "json"),
-     f"reorder_{{}}_{method}.json") for method in ("info", "sift", "window")]
+     f"reorder_{{}}_{method}.json") for method in ("info", "sift", "window")] + [
+    (("measures",), "measures_{}_table.txt"),
+    (("measures", "--format", "json"), "measures_{}_rows.json"),
+    (("compare",), "compare_{}_table.txt"),
+    (("compare", "--format", "json"), "compare_{}_rows.json")] + [
+    (("reorder", "--method", method) + extra, f"reorder_{{}}_{method}_{kind}")
+    for method in ("info", "sift", "window")
+    for extra, kind in (((), "table.txt"), (("--trace",), "trace.txt"),
+                        (("--format", "json"), "record.json"))]
 
 
 def run(capsys, *argv):
@@ -41,6 +51,27 @@ def test_readme_command_line_examples(capsys, monkeypatch):
             assert (code, out) == (0, shown.rstrip("\n") + "\n"), command
             ran += 1
     assert ran >= 4
+
+
+def test_readme_library_tour():
+    """README's Library tour block runs as written, and every bare
+    expression with a comment evaluates to the value the comment shows
+    (the part after its last ``=``, else the whole comment), within 1e-6."""
+    section = (ROOT / "README.md").read_text().split("\n## Library tour\n")[1]
+    block = section.split("```python\n")[1].split("\n```")[0]
+    namespace: dict = {}
+    checked = []
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        line = block.splitlines()[statement.end_lineno - 1]
+        if not isinstance(statement, ast.Expr) or "#" not in line:
+            exec(code, namespace)
+            continue
+        comment = line.split("#", 1)[1].rsplit(" = ", 1)[-1]
+        shown = ast.literal_eval(re.search(r"\[.*\]|\d+(\.\d+)?", comment)[0])
+        assert eval(code, namespace) == pytest.approx(shown, abs=1e-6), code
+        checked.append(shown)
+    assert checked == [0.954434, 0.405639, 0.25, 0.25, [0, 1, 2]]
 
 
 def test_measures_table(capsys):
