@@ -30,7 +30,7 @@ from . import measures as measures_mod
 from . import netlist as netlist_mod
 from . import oracle as oracle_mod
 from . import reorder as reorder_mod
-from .manager import BddError, BddManager, InputError, _index
+from .manager import BddError, BddManager, InputError, _index, _truth_vector
 from .measures import VarProbabilities
 
 _METHODS = ("info", "sift", "window", "none")
@@ -62,13 +62,11 @@ def _sniff_format(path: str, text: str) -> str:
     raise netlist_mod.ParseError("file holds no content")
 
 
-def load_circuit(path: str, node_limit: int | None = None) -> LoadedCircuit:
-    """Read a BLIF, PLA or truth-vector file into a fresh manager.
-
-    Every output is a registered root.  After a netlist is built, the
-    nodes no output reaches are swept and the op cache is cleared, so
-    the manager holds the outputs' nodes and nothing else.
-    """
+def _read(path: str):
+    """Parse ``path``, a truth vector included, without building it:
+    return the circuit's input names, its output names and
+    ``build(node_limit)``, which makes the ``LoadedCircuit``, so that
+    names can be checked before any node is built."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     stem = path.rsplit("/", 1)[-1]
@@ -76,21 +74,34 @@ def load_circuit(path: str, node_limit: int | None = None) -> LoadedCircuit:
     kind = _sniff_format(path, text)
     if kind == "vector":
         bits = "".join(text.split())
-        # The manager rejects a length that is not a power of two.
-        n = max(len(bits).bit_length() - 1, 0)
-        manager = BddManager(n, node_limit=node_limit)
-        root = manager.build_from_truth_vector(bits)
-        manager.register_root(root)
-        return LoadedCircuit(name=stem, manager=manager,
-                             outputs=[("f", root)],
-                             input_names=[f"x{i + 1}" for i in range(n)])
+        n = len(_truth_vector(bits)).bit_length() - 1
+        inputs = [f"x{i + 1}" for i in range(n)]
+
+        def build(node_limit):
+            manager = BddManager(n, node_limit=node_limit)
+            root = manager.register_root(manager.build_from_truth_vector(bits))
+            return LoadedCircuit(stem, manager, [("f", root)], inputs)
+        return inputs, ["f"], build
     parsed = netlist_mod.parse_blif(text) if kind == "blif" else netlist_mod.parse_pla(text)
-    manager = netlist_mod.manager_for(parsed, node_limit=node_limit)
-    roots = netlist_mod.build_circuit_bdds(parsed, manager)
-    manager.collect_garbage()
-    outputs = [(name, roots[name]) for name in parsed.cut_outputs]
-    return LoadedCircuit(name=parsed.name or stem, manager=manager,
-                         outputs=outputs, input_names=parsed.cut_inputs)
+
+    def build(node_limit):
+        manager = netlist_mod.manager_for(parsed, node_limit=node_limit)
+        roots = netlist_mod.build_circuit_bdds(parsed, manager)
+        manager.collect_garbage()
+        return LoadedCircuit(parsed.name or stem, manager,
+                             [(name, roots[name]) for name in parsed.cut_outputs],
+                             parsed.cut_inputs)
+    return parsed.cut_inputs, parsed.cut_outputs, build
+
+
+def load_circuit(path: str, node_limit: int | None = None) -> LoadedCircuit:
+    """Read a BLIF, PLA or truth-vector file into a fresh manager.
+
+    Every output is a registered root.  After a netlist is built, the
+    nodes no output reaches are swept and the op cache is cleared, so
+    the manager holds the outputs' nodes and nothing else.
+    """
+    return _read(path)[-1](node_limit)
 
 
 # -- the one emitter ----------------------------------------------------------
@@ -140,11 +151,10 @@ def _align(rows: list[list[str]]) -> list[str]:
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_measures(args, out) -> int:
-    circuit = load_circuit(args.file, args.node_limit)
-    names = circuit.input_names
-    selected_outputs = _select(args.outputs, [n for n, _ in circuit.outputs],
-                               "output")
+    names, output_names, build = _read(args.file)
+    selected_outputs = _select(args.outputs, output_names, "output")
     selected_vars = _select(args.vars, names, "variable")
+    circuit = build(args.node_limit)
     rows = []
     table = [["output", "H(f)"] + [f"H(f|{v})" for v in names
                                    if v in selected_vars]]
@@ -213,11 +223,12 @@ def _cmd_reorder(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
-    circuit = load_circuit(args.file, args.node_limit)
+    build = _read(args.file)[-1]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for method in methods:
         if method not in _METHODS:
             raise InputError(f"unknown method {method!r}")
+    circuit = build(args.node_limit)
     base = circuit.manager
     rows = []
     table = [["method", "size", "millis"]]
@@ -238,23 +249,16 @@ def _cmd_compare(args, out) -> int:
 
 
 def _cmd_oracle_check(args, out) -> int:
-    circuit = load_circuit(args.file, args.node_limit)
-    manager = circuit.manager
-    n = manager.n
+    names, _, build = _read(args.file)
+    n = len(names)
     if n > args.max_n:
         raise InputError(
             f"circuit has {n} inputs, above the --max-n {args.max_n} guard")
+    circuit = build(args.node_limit)
+    manager = circuit.manager
     rng = random.Random(args.seed)
-    tol = 1e-9
-    failures: list[str] = []
-    checks = 0
-
-    def expect(label: str, got: float, want: float):
-        nonlocal checks
-        checks += 1
-        if abs(got - want) > tol:
-            failures.append(f"{label}: bdd={got!r} oracle={want!r}")
-
+    uniform = VarProbabilities.uniform(n)
+    checks = []         # (label, BDD value, value it must match)
     for out_name, root in circuit.outputs:
         tt = oracle_mod.enumerate_bdd(manager, root)
         subsets = []
@@ -265,34 +269,32 @@ def _cmd_oracle_check(args, out) -> int:
         report = oracle_mod.exact_measures(tt, subsets=tuple(subsets))
         bdd = measures_mod.measure_report(manager, root, subsets=subsets)
         profile = measures_mod.all_joint_probabilities(manager, root)
-        expect(f"{out_name}: p(f=1)", profile.sat, float(tt.sat_probability()))
-        expect(f"{out_name}: H(f)", bdd.entropy, report.entropy)
-        uniform = VarProbabilities.uniform(n)
-        for var in range(n):
-            var_name = circuit.input_names[var]
+        rows = [("p(f=1)", profile.sat, float(tt.sat_probability())),
+                ("H(f)", bdd.entropy, report.entropy)]
+        for var, var_name in enumerate(names):
             for b in (0, 1):
-                want = float(oracle_mod.joint_probability(tt, var, b))
-                expect(f"{out_name}: p(f=1,{var_name}={b})",
-                       profile.joint[var][b], want)
-                want_c = float(oracle_mod.conditional_probability(tt, var, b))
-                expect(f"{out_name}: p(f=1|{var_name}={b})",
-                       profile.conditional[var][b], want_c)
-                forced = measures_mod.weighted_sat_probability(
-                    manager, root, uniform.forced(var, b))
-                expect(f"{out_name}: forced-weight p(f=1|{var_name}={b})",
-                       forced, profile.conditional[var][b])
-            expect(f"{out_name}: H(f|{var_name})", bdd.cond_entropy[var],
-                   report.cond_entropy[var])
-        for subset in subsets:
-            expect(f"{out_name}: H(f|{subset})", bdd.set_entropy[subset],
-                   report.set_entropy[subset])
+                conditional = profile.conditional[var][b]
+                rows += [(f"p(f=1,{var_name}={b})", profile.joint[var][b],
+                          float(oracle_mod.joint_probability(tt, var, b))),
+                         (f"p(f=1|{var_name}={b})", conditional,
+                          float(oracle_mod.conditional_probability(tt, var, b))),
+                         (f"forced-weight p(f=1|{var_name}={b})",
+                          measures_mod.weighted_sat_probability(
+                              manager, root, uniform.forced(var, b)),
+                          conditional)]
+            rows.append((f"H(f|{var_name})", bdd.cond_entropy[var],
+                         report.cond_entropy[var]))
+        rows += [(f"H(f|{subset})", bdd.set_entropy[subset],
+                  report.set_entropy[subset]) for subset in subsets]
+        checks += [(f"{out_name}: {label}", got, want) for label, got, want in rows]
+    failures = [f"MISMATCH {label}: bdd={got!r} oracle={want!r}\n"
+                for label, got, want in checks if abs(got - want) > 1e-9]
     if failures:
-        for line in failures:
-            out.write("MISMATCH " + line + "\n")
-        out.write(f"oracle-check: {len(failures)} of {checks} checks failed\n")
+        out.write("".join(failures) + f"oracle-check: {len(failures)} of "
+                  f"{len(checks)} checks failed\n")
         return 3
     if not args.quiet:
-        out.write(f"oracle-check: {checks} checks passed on "
+        out.write(f"oracle-check: {len(checks)} checks passed on "
                   f"{len(circuit.outputs)} outputs\n")
     return 0
 
@@ -371,22 +373,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except (netlist_mod.NetlistError, InputError, OSError, BddError,
             oracle_mod.OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:
+        # A str is _select's usage message; an int is argparse's own exit.
         if isinstance(exc.code, str):
             print(f"error: {exc.code}", file=sys.stderr)
             return 2
-        return exc.code or 0
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -176,12 +176,34 @@ class BddManager:
             raise NodeLimitError(f"node limit {self._node_limit} reached")
         refs = self._refs
         ref = self._base + len(refs)
-        refs.append(0)
-        refs[lo & _SLOT] += 1
-        refs[hi & _SLOT] += 1
-        self._node[ref] = key
-        table[key] = ref
+        try:
+            refs.append(0)
+            refs[lo & _SLOT] += 1
+            refs[hi & _SLOT] += 1
+            self._node[ref] = key
+            table[key] = ref
+        except BaseException:
+            self._unmint(ref, key)
+            raise
         return ref
+
+    def _unmint(self, ref: int, key: tuple[int, int, int]) -> None:
+        """Undo a mint of ``ref`` as ``key`` that an exception cut short
+        anywhere between its slot and its unique-table entry, leaving
+        the manager as it was before the mint: drop the node from the
+        store and its unique table, drop its slot, and recount its two
+        children from the store and the roots, which is exact whatever
+        the mint had done.  O(n), on that path alone."""
+        var, lo, hi = key
+        self._node.pop(ref, None)
+        if self._unique[var].get(key) == ref:
+            del self._unique[var][key]
+        refs = self._refs
+        if len(refs) == (ref & _SLOT) + 1:
+            refs.pop()
+        for child in (lo, hi):
+            refs[child & _SLOT] = self._roots.count(child) + sum(
+                (l == child) + (h == child) for _, l, h in self._node.values())
 
     def literal(self, var: int, phase: int = 1) -> int:
         """BDD of the variable itself (phase 1) or its complement (phase 0)."""
@@ -292,11 +314,15 @@ class BddManager:
                         if limit is not None and len(nodes) >= limit:
                             raise NodeLimitError(f"node limit {limit} reached")
                         u = base + len(refs)
-                        refs.append(0)
-                        refs[r0 & mask] += 1
-                        refs[r & mask] += 1
-                        nodes[u] = k
-                        table[k] = u
+                        try:
+                            refs.append(0)
+                            refs[r0 & mask] += 1
+                            refs[r & mask] += 1
+                            nodes[u] = k
+                            table[k] = u
+                        except BaseException:
+                            self._unmint(u, k)
+                            raise
                     r = u
                 if key is not None:
                     cache[key] = r

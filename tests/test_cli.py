@@ -7,6 +7,7 @@ import shlex
 import pytest
 
 from bddinfo.cli import main
+from bddinfo.measures import VarProbabilities
 
 from conftest import DATA
 
@@ -26,7 +27,9 @@ GOLDEN_RUNS = [(("compare", "--format", "csv"), "compare_{}.csv"),
     (("reorder", "--method", method) + extra, f"reorder_{{}}_{method}_{kind}")
     for method in ("info", "sift", "window")
     for extra, kind in (((), "table.txt"), (("--trace",), "trace.txt"),
-                        (("--format", "json"), "record.json"))]
+                        (("--format", "json"), "record.json"))] + [
+    (("oracle-check",), "oracle_check_{}.txt"),
+    (("oracle-check", "--seed", "7"), "oracle_check_{}_seed7.txt")]
 
 
 def run(capsys, *argv):
@@ -266,6 +269,65 @@ def test_oracle_check_mismatch_exits_3(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+def test_oracle_check_prints_each_mismatch(capsys, monkeypatch):
+    """One value of each kind is perturbed in turn, then all at once:
+    oracle-check exits 3 and prints, in check order, one MISMATCH line
+    per failed check and the count of failed checks among all 26 of
+    example1.  A conditional feeds two checks, the oracle's and the
+    forced-weight pass's, so it fails both."""
+    import bddinfo.cli as cli_mod
+    measures = cli_mod.measures_mod
+    real = {name: getattr(measures, name) for name in (
+        "measure_report", "all_joint_probabilities", "weighted_sat_probability")}
+
+    def field(name, change):
+        return lambda value, args: dataclasses.replace(
+            value, **{name: change(getattr(value, name))})
+
+    def forced(value, args):
+        pinned = args[2] == VarProbabilities.uniform(3).forced(1, 0)
+        return value + 0.001 if pinned else value
+
+    def edited(name, edits):
+        def call(*args, **kwargs):
+            value = real[name](*args, **kwargs)
+            for edit in edits:
+                value = edit(value, args)
+            return value
+        return call
+
+    first = lambda sets: {s: v + 0.001 * (i == 0)
+                          for i, (s, v) in enumerate(sets.items())}
+    cases = [   # in the order oracle-check makes its checks
+        ("measure_report", field("entropy", lambda h: h + 0.001),
+         ["f: H(f): bdd=0.955434002924965 oracle=0.954434002924965"]),
+        ("all_joint_probabilities",
+         field("joint", lambda p: {**p, 0: (p[0][0] + 0.001, p[0][1])}),
+         ["f: p(f=1,x1=0): bdd=0.126 oracle=0.125"]),
+        ("weighted_sat_probability", forced,
+         ["f: forced-weight p(f=1|x2=0): bdd=0.751 oracle=0.75"]),
+        ("measure_report",
+         field("cond_entropy", lambda h: {**h, 1: h[1] + 0.001}),
+         ["f: H(f|x2): bdd=0.9066390622295665 oracle=0.9056390622295665"]),
+        ("all_joint_probabilities",
+         field("conditional", lambda p: {**p, 2: (p[2][0], p[2][1] + 0.001)}),
+         ["f: p(f=1|x3=1): bdd=0.501 oracle=0.5",
+          "f: forced-weight p(f=1|x3=1): bdd=0.5 oracle=0.501"]),
+        ("measure_report", field("set_entropy", first),
+         ["f: H(f|(0, 1)): bdd=0.251 oracle=0.25"]),
+    ]
+    for chosen in [[case] for case in cases] + [cases]:
+        with monkeypatch.context() as patched:
+            for name in real:
+                patched.setattr(measures, name, edited(
+                    name, [edit for n, edit, _ in chosen if n == name]))
+            code, out, err = run(capsys, "oracle-check", EXAMPLE1)
+        mismatches = [line for _, _, lines in chosen for line in lines]
+        assert (code, err) == (3, "")
+        assert out.splitlines() == [f"MISMATCH {line}" for line in mismatches] + [
+            f"oracle-check: {len(mismatches)} of 26 checks failed"]
+
+
 def test_oracle_check_quiet(capsys):
     code, out, _ = run(capsys, "oracle-check", EXAMPLE1, "--quiet")
     assert code == 0
@@ -276,6 +338,35 @@ def test_oracle_check_max_n_guard(capsys):
     code, _, err = run(capsys, "oracle-check", C17, "--max-n", "3")
     assert code == 1
     assert "inputs" in err
+
+
+def test_refusals_build_no_node(tmp_path, capsys, monkeypatch):
+    """An unknown output, variable or method, or a circuit above the
+    --max-n guard, is refused from the parsed file, before any diagram
+    is built, for a netlist and for a truth vector alike."""
+    import bddinfo.netlist as netlist_mod
+    from bddinfo import BddManager
+    builds = []
+    for owner, name in ((netlist_mod, "build_circuit_bdds"),
+                        (BddManager, "build_from_truth_vector")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name:
+                            builds.append(name) or real(*args))
+    vector = tmp_path / "fn.txt"
+    vector.write_text("10001111\n")
+    refusals = [(("measures", "--outputs", "nope"), 2, "unknown output 'nope'"),
+                (("measures", "--vars", "nope"), 2, "unknown variable 'nope'"),
+                (("compare", "--methods", "bogus"), 1, "unknown method 'bogus'"),
+                (("oracle-check", "--max-n", "2"), 1,
+                 "circuit has {} inputs, above the --max-n 2 guard")]
+    for path, n in ((C17, 5), (str(vector), 3)):
+        for (command, *flags), code, error in refusals:
+            assert run(capsys, command, path, *flags) == \
+                (code, "", f"error: {error.format(n)}\n")
+    assert builds == []
+    assert run(capsys, "measures", str(vector), "--vars", "x1")[0] == 0
+    assert run(capsys, "measures", C17, "--vars", "G1")[0] == 0
+    assert builds == ["build_from_truth_vector", "build_circuit_bdds"]
 
 
 def test_oracle_check_above_the_enumeration_limit(tmp_path, capsys):
