@@ -30,19 +30,21 @@ shallowest query first, each push extending the last.  Entropy-guided
 reordering carries and advances each root's frontier itself, so the
 placed prefix is never pushed again.  One unforced bottom-up pass
 serves every query.  A single variable x below that run is read off
-its slope, and one top-down pass per depth, carrying the path mass of
-every node the roots' mass reaches there, gives D for every such node
-and every variable at once.  Each assignment to k >= 2 other variables
-of S is one forced pass that recomputes only the levels down to the
-deepest of them, 2^k passes in all; the levels, their children below
-and the frontier are listed once per query as one flat list of values
-with rows of positions (``_flat_part``), so a pass reads and writes
-list slots, not dict entries.  ``conditional_entropy_set`` asks
-one query (``conditional_entropy_var`` through it); ``measure_report``
-asks H(f), every H(f|x) and every subset in one call, and takes p(f=1)
-from the same unforced pass; entropy-guided reordering asks
-H(f | placed prefix, x) for every candidate x of a level in one call
-over the frontiers of all roots.
+its slope, and one top-down pass per depth gives D for every frontier
+node there and every variable at once (``_slopes``): a frontier of one
+node, such as a root at depth 0, is carried as one float of mass per
+node, a larger one as a dict of masses per node, one per frontier node.
+Each assignment to k >= 2 other variables of S is one forced pass that
+recomputes only the levels down to the deepest of them, 2^k passes in
+all.  Each call gives every node from its shallowest query depth down,
+and the two terminals, one position in one list of unforced values;
+each such query lists its levels as rows of positions and copies that
+list, so a pass reads and writes list slots, not dict entries.
+``conditional_entropy_set`` asks one query (``conditional_entropy_var``
+through it); ``measure_report`` asks H(f), every H(f|x) and every
+subset in one call, and takes p(f=1) from the same unforced pass;
+entropy-guided reordering asks H(f | placed prefix, x) for every
+candidate x of a level in one call over the frontiers of all roots.
 
 All passes are loops, not recursions, and measures build no nodes:
 they work under any node_limit and leave len(manager) unchanged.
@@ -325,8 +327,29 @@ def _slopes(manager: BddManager, order: list[int], sat: dict[int, float],
     A node v testing var adds mass(u -> v) * (p(hi) - p(lo)) to D_u[var]:
     p(u) is linear in var's pair, and no other node depends on it.
     Variables u cannot reach get no entry.
+
+    A frontier of one node, such as a root at depth 0, takes a flat
+    route: one float of mass per node and one slope per variable.
+    Larger frontiers carry a dict of masses, one per frontier node, per
+    node.  Both add the same products in the same order, so a node's
+    slopes are the same floats on either route.
     """
     nodes = manager._node
+    frontier = list(frontier)
+    if len(frontier) == 1:
+        (u,) = frontier
+        reach = {u: 1.0}
+        flat: dict[int, float] = {}
+        for v in order:
+            mass = reach.pop(v, None)
+            if mass is None:
+                continue
+            var, lo, hi = nodes[v]
+            p0, p1 = pairs[var]
+            flat[var] = flat.get(var, 0.0) + mass * (sat[hi] - sat[lo])
+            reach[lo] = reach.get(lo, 0.0) + mass * p0
+            reach[hi] = reach.get(hi, 0.0) + mass * p1
+        return {var: {u: d} for var, d in flat.items()}
     carried = {u: {u: 1.0} for u in frontier}
     slopes: dict[int, dict[int, float]] = {}
     for v in order:
@@ -344,30 +367,6 @@ def _slopes(manager: BddManager, order: list[int], sat: dict[int, float],
             to_lo[u] = to_lo.get(u, 0.0) + mass * p0
             to_hi[u] = to_hi.get(u, 0.0) + mass * p1
     return slopes
-
-
-def _flat_part(manager: BddManager, part: list[int], sat: dict[int, float],
-               frontiers: list[list[tuple[int, float]]],
-               ) -> tuple[list[tuple[int, int, int, int]], list[float],
-                          list[list[tuple[int, float]]]]:
-    """The level-sorted ``part`` as one flat list for forced passes.
-
-    Returns rows (position, variable, low position, high position),
-    bottom up; the list of values, which holds each part node, each
-    child below the part and each frontier node below it once, with its
-    unforced value from ``sat``; and ``frontiers`` with their nodes as
-    positions.  Every row writes its position before a later row reads
-    it, so one list serves every pass in turn."""
-    nodes = manager._node
-    at: dict[int, int] = {}
-    place = at.setdefault
-    rows = []
-    for u in reversed(part):
-        var, lo, hi = nodes[u]
-        rows.append((place(u, len(at)), var, place(lo, len(at)), place(hi, len(at))))
-    read = [[(place(u, len(at)), mass) for u, mass in frontier]
-            for frontier in frontiers]
-    return rows, [sat[u] for u in at], read
 
 
 def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
@@ -397,16 +396,19 @@ def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
     unforced bottom-up pass serves every query, and each query takes
     one of two routes by the number k of variables in ``rest``.  With
     k <= 1, each frontier node u gives h(p(u)) or, if it reaches the one
-    variable x, reads D_u[x] from one slope pass per depth (``_slopes``)
-    and gives
+    variable x, reads D_u[x] from one slope pass per depth (``_slopes``,
+    flat when the depth's frontier nodes are one node) and gives
     H(f_u | x) = p0 * h(p(u) - p1 * D_u) + p1 * h(p(u) + p0 * D_u);
-    k = 0 is this route with no slope.  With k >= 2, those levels, from
-    ``depth`` down to the deepest of the k variables, are listed once
-    per query as one flat list of values and rows of positions
-    (``_flat_part``); each assignment to the k variables is one forced
-    pass that recomputes the rows in that list.  The nodes below the
-    levels never test the k variables, so they keep their unforced
-    values.
+    k = 0 is this route with no slope.  With k >= 2, the call gives
+    every node from the shallowest query depth down, then the two
+    terminals, one position in one list of their unforced values; the
+    query lists its levels, from ``depth`` down to the deepest of the k
+    variables, bottom up as rows (position, variable, low position,
+    high position), and each assignment to the k variables is one
+    forced pass that recomputes the rows in a copy of that list.  Every
+    row writes its slot before a later row reads it, so one copy serves
+    the query's 2^k passes in turn.  The nodes below the levels never
+    test the k variables, so they keep their unforced values.
     """
     nodes, pairs, level = manager._node, w._pairs, manager._var_level
     if order is None:
@@ -425,7 +427,8 @@ def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
             ranked = sorted((level[nodes[u][0]], u) for u in reach if u in nodes)
             frontiers[depth].append([(u, reach[u]) for _, u in ranked])
         pushed = depth
-    sat = _bottom_up(manager, order[start[depths[0]]:], pairs)
+    below = order[start[depths[0]]:]
+    sat = _bottom_up(manager, below, pairs)
 
     # One slope pass per depth with single-variable queries, over the
     # frontier nodes of every root, down to the deepest variable asked.
@@ -439,6 +442,12 @@ def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
                                  for u, _ in nodes_at)
         slopes[depth] = _slopes(manager, order[start[depth]:start[bottom + 1]],
                                 sat, pairs, frontier)
+
+    # One position index and one list of unforced values for every
+    # forced pass, over ``below`` and then the two terminals.
+    if any(len(rest) >= 2 for _, rest in queries):
+        position = {u: i for i, u in enumerate([*below, ZERO, ONE])}
+        unforced = [sat[u] for u in position]
 
     values = []
     for depth, rest in queries:
@@ -462,7 +471,13 @@ def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
                 totals[i] = total
         else:
             part = order[start[depth]:start[max(level[v] for v in rest) + 1]]
-            rows, probs, read = _flat_part(manager, part, sat, frontiers[depth])
+            rows = []
+            for u in reversed(part):
+                var, lo, hi = nodes[u]
+                rows.append((position[u], var, position[lo], position[hi]))
+            read = [[(position[u], mass) for u, mass in frontier]
+                    for frontier in frontiers[depth]]
+            probs = unforced.copy()
             for bits in itertools.product((0, 1), repeat=len(rest)):
                 forced = list(pairs)
                 weight = 1.0
@@ -477,7 +492,10 @@ def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
                     for at, mass in frontier:
                         total += mass * weight * _binary_entropy(probs[at])
                     totals[i] = total
-        values.append(sum(totals, 0.0))
+        value = 0.0                 # left to right: builtin sum is
+        for total in totals:        # compensated from Python 3.12
+            value += total
+        values.append(value)
     return values, sat
 
 

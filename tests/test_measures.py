@@ -457,9 +457,10 @@ def test_forced_route_matches_the_dict_pass(seed):
 
 
 def test_measure_report_makes_one_bottom_up_pass(monkeypatch):
-    """The 2^k forced passes of a subset run over its flat list, so a
-    report with a 2- and a 3-variable subset below the top variable
-    calls ``_bottom_up`` once, for the unforced pass."""
+    """The 2^k forced passes of a subset run over the call's one list
+    of unforced values, so a report with a 2- and a 3-variable subset
+    below the top variable calls ``_bottom_up`` once, for the unforced
+    pass."""
     circuit = load_circuit(str(DATA / "s27.blif"))
     m = circuit.manager
     calls = []
@@ -475,6 +476,68 @@ def test_measure_report_makes_one_bottom_up_pass(monkeypatch):
         calls.clear()
         measure_report(m, root, subsets=[below[:2], below[2:5]])
         assert len(calls) == 1
+
+
+def _weightings(rng, n):
+    """Uniform weights, and weights in sixteenths and in fifths."""
+    return [VarProbabilities.uniform(n)] + [
+        VarProbabilities([(1 - k / parts, k / parts)
+                          for k in (rng.randint(0, parts) for _ in range(n))])
+        for parts in (16, 5)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_flat_slope_route_matches_the_dict_route(seed):
+    """A frontier of one node u takes ``_slopes``' flat route; with any
+    other node v beside it, the per-node dict route.  u's slopes are the
+    same floats on both, and the same variables have one: random
+    functions of 5 to 8 variables under a shuffled order, with a second
+    function sharing nodes, v below u, above it or apart from it."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    order = list(range(n))
+    rng.shuffle(order)
+    m = BddManager(n, order=order)
+    f, g = (m.build_from_truth_vector(random_function(rng, n)) for _ in range(2))
+    nodes = measures._levelled(m, (f, m.apply(XOR, f, g)))
+    pairs_seen = 0
+    for w in _weightings(rng, n):
+        sat = measures._bottom_up(m, nodes, w._pairs)
+        for _ in range(8):
+            u, v = rng.sample(nodes, 2)
+            flat = measures._slopes(m, nodes, sat, w._pairs, [u])
+            both = measures._slopes(m, nodes, sat, w._pairs, [u, v])
+            assert {var: {x: d.hex() for x, d in by.items()}
+                    for var, by in flat.items()} == \
+                {var: {u: by[u].hex()} for var, by in both.items() if u in by}
+            pairs_seen += 1
+    assert pairs_seen == 24
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_report_subsets_at_two_depths_share_one_index(seed):
+    """One report whose k >= 2 subsets sit at two depths (none of the top
+    variables, and the top one or two of them) reads both from the one
+    index that ``_conditioned`` builds from its shallowest depth down;
+    each value is the float ``conditional_entropy_set`` gives from an
+    index of its own depth."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 8)
+    order = list(range(n))
+    rng.shuffle(order)
+    m = BddManager(n, order=order)
+    root = m.build_from_truth_vector(random_function(rng, n))
+    top = rng.randint(1, 2)
+    subsets = [rng.sample(order[1:], 2), rng.sample(order[1:], 3),
+               order[:top] + rng.sample(order[top + 1:], 2)]
+    queries = [measures._query(m, set(s)) for s in subsets]
+    assert {depth for depth, _ in queries} == {0, top}
+    assert min(len(rest) for _, rest in queries) >= 2
+    for w in _weightings(rng, n):
+        report = measure_report(m, root, w, subsets=subsets)
+        for subset in subsets:
+            assert report.set_entropy[tuple(sorted(subset))].hex() == \
+                conditional_entropy_set(m, root, subset, w).hex()
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())

@@ -103,6 +103,15 @@ def test_level_scores_equal_prefix_set_conditionals(rng):
                 assert score == pytest.approx(exact[subset], abs=1e-9)
 
 
+def _fold(values):
+    """Left-to-right sum, the way ``_conditioned`` adds its per-root
+    values; builtin ``sum`` of floats is compensated from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _shared_roots(rng, n):
     """A manager on a random order whose roots share nodes, including a
     terminal root and a root listed twice."""
@@ -130,8 +139,8 @@ def test_conditioned_equals_summed_set_conditionals(rng):
         for depth in range(n):
             queries = [(depth + 1, ()) if x == order[depth] else (depth, (x,))
                        for x in order[depth:]]
-            expected = [sum(conditional_entropy_set(m, root, order[:depth] + [x], w)
-                            for root in roots)
+            expected = [_fold(conditional_entropy_set(m, root, order[:depth] + [x], w)
+                              for root in roots)
                         for x in order[depth:]]
             assert _conditioned(m, [{r: 1.0} for r in roots], queries,
                                 weights)[0] == expected
@@ -244,8 +253,8 @@ def test_info_scores_leave_out_unscored_registered_roots(rng):
         for step in trace.steps:
             prefix = list(replay.order[:step.level])
             assert step.scores == [
-                (x, sum(conditional_entropy_set(replay, r, prefix + [x], w)
-                        for r in roots))
+                (x, _fold(conditional_entropy_set(replay, r, prefix + [x], w)
+                          for r in roots))
                 for x in sorted(replay.order[step.level:])]
             longest = max(longest, replay.level_of_var(step.chosen) - step.level)
             replay.move_var(step.chosen, step.level)
