@@ -19,7 +19,6 @@ involved, which is the substrate for all reordering algorithms.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections.abc import Iterable, Iterator, Sequence, Sized
 
 ZERO = 0
@@ -35,7 +34,7 @@ _OPS = (AND, OR, XOR)
 # is detected instead of silently aliasing a node.
 _manager_ids = itertools.count()
 _ID_SPAN = 1 << 40
-# A handle's slot in its manager's reference-count array; the terminals
+# A handle's slot in its manager's reference-count list; the terminals
 # 0 and 1 map to slots 0 and 1 in every manager.
 _SLOT = _ID_SPAN - 1
 _BITS = {"0": 0, "1": 1}                   # truth vector characters
@@ -90,9 +89,11 @@ class BddManager:
         for level, var in enumerate(order):
             self._var_level[var] = level
         self._base = next(_manager_ids) * _ID_SPAN
-        # Reference counts by slot (handle & _SLOT), one per handle ever
-        # made; the next handle is base + len.  Slots 0/1 are the terminals.
-        self._refs = array("I", (0, 0))
+        # Reference counts in a plain list by slot (handle & _SLOT), one
+        # per handle ever made; the next handle is base + len.  Slots 0/1
+        # are the terminals.  A list, not an array: a count update is a
+        # pointer load and store, with no boxing or range check.
+        self._refs = [0, 0]
         self._node: dict[int, tuple[int, int, int]] = {}   # id -> (var, lo, hi)
         # var -> {(var, lo, hi): id}; the keys are the tuples in _node.
         self._unique: list[dict[tuple[int, int, int], int]] = [
@@ -442,7 +443,7 @@ class BddManager:
             return 0
         live = {u: nodes[u] for u in sorted(keep)}
         unique = [{} for _ in self._unique]
-        refs = array("I", (0,)) * len(self._refs)
+        refs = [0] * len(self._refs)
         for r in self._roots:
             refs[r & _SLOT] += 1
         for u, key in live.items():

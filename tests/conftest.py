@@ -39,18 +39,31 @@ def assert_manager_consistent(m: BddManager) -> None:
     """Rebuild the per-variable unique tables and the reference counts
     (parent nodes plus root registrations) from the node store and
     compare them with the manager's own.  The store also iterates in
-    handle order, and every handle's slot lies inside the counts."""
-    assert list(m._node) == sorted(m._node)
+    handle order, every handle's slot lies inside the counts, every
+    child is a terminal or a stored node, no count is negative, and a
+    slot that holds no live node, terminals apart, counts 0."""
+    nodes = m._node
+    refs = m._refs
+    assert list(nodes) == sorted(nodes)
+    var_level = m._var_level
+    level = {u: var_level[key[0]] for u, key in nodes.items()}
+    level[0] = level[1] = m.n
     tables = [{} for _ in range(m.n)]
     counts = Counter(m.registered_roots)
-    for u, key in m._node.items():
-        assert 2 <= u & _SLOT < len(m._refs), u
+    for u, key in nodes.items():
+        assert 2 <= u & _SLOT < len(refs), u
         var, lo, hi = key
         assert lo != hi
-        assert m.level_of(u) < min(m.level_of(lo), m.level_of(hi))
+        assert lo in level and hi in level, (u, key)
+        assert level[u] < min(level[lo], level[hi]), (u, key)
         tables[var][key] = u
         counts[lo] += 1
         counts[hi] += 1
     assert m._unique == tables
-    for u in [0, 1, *m._node]:
-        assert m._refs[u & _SLOT] == counts[u], u
+    assert all(c >= 0 for c in refs), min(refs)
+    live = {u & _SLOT for u in nodes}
+    for slot in range(2, len(refs)):
+        if slot not in live:
+            assert refs[slot] == 0, slot
+    for u in [0, 1, *nodes]:
+        assert refs[u & _SLOT] == counts[u], u

@@ -490,6 +490,23 @@ def test_sift_cutoff_skips_swaps(monkeypatch):
     assert len(calls) < full
 
 
+def test_clone_counts_stay_with_their_manager():
+    """A sift on a clone rewrites the clone's reference counts, node
+    store and unique tables alone: the source keeps all three as they
+    were and stays consistent."""
+    source = load_circuit(str(DATA / "s27.blif")).manager
+    refs = list(source._refs)
+    nodes = dict(source._node)
+    unique = [dict(table) for table in source._unique]
+    twin = source.clone()
+    assert sift(twin).swaps > 0
+    assert source._refs == refs
+    assert source._node == nodes
+    assert source._unique == unique
+    assert_manager_consistent(source)
+    assert_manager_consistent(twin)
+
+
 def test_window_equals_exhaustive_when_window_covers_everything(rng):
     for _ in range(10):
         vector = random_function(rng, 3)
