@@ -23,7 +23,6 @@ import csv
 import json
 import random
 import sys
-import time
 from dataclasses import dataclass
 
 from . import measures as measures_mod
@@ -73,7 +72,8 @@ def _read(path: str):
     stem = stem.rsplit(".", 1)[0] if "." in stem else stem
     kind = _sniff_format(path, text)
     if kind == "vector":
-        bits = "".join(text.split())
+        bits = "".join(t for _, tokens in netlist_mod._logical_lines(text)
+                       for t in tokens)
         n = len(_truth_vector(bits)).bit_length() - 1
         inputs = [f"x{i + 1}" for i in range(n)]
 
@@ -233,11 +233,8 @@ def _cmd_compare(args, out) -> int:
     rows = []
     table = [["method", "size", "millis"]]
     for method in methods:
-        manager = base.clone()
-        t0 = time.perf_counter()
-        trace = _run_method(manager, method, args.window)
-        elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        millis = elapsed_ms if args.timing else None
+        trace = _run_method(base.clone(), method, args.window)
+        millis = int(trace.elapsed * 1000) if args.timing else None
         rows.append({"circuit": circuit.name, "method": method,
                      "size": trace.final_size, "millis": millis})
         table.append([method, str(trace.final_size),

@@ -1,6 +1,12 @@
 """Circuit ingestion: a BLIF subset, PLA covers, and circuit-to-BDD
 construction.
 
+One reader, ``_logical_lines``, decides what is content in BLIF, PLA
+and truth-vector text: ``#`` comments run to the end of the line, a
+trailing backslash continues a line, blank lines are skipped, and any
+content after the end marker (BLIF ``.end``, PLA ``.e`` or ``.end``) is
+refused with its line number.
+
 Sequential circuits are handled by latch cutting: latch outputs become
 pseudo primary inputs and latch data inputs become pseudo outputs, so
 the combinational core is what gets built.  Input declaration order
@@ -72,18 +78,17 @@ class Netlist:
         return self.outputs + [d for d, _ in self.latches]
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
-def _logical_lines(text: str):
+def _logical_lines(text: str, end: tuple[str, ...] = ()):
     """Yield (line number, tokens) with comments stripped and backslash
-    continuations joined; the number is the first physical line's."""
+    continuations joined; the number is the first physical line's.  A
+    line headed by a token in ``end`` ends the description: it is not
+    yielded, and any content after it raises ParseError."""
     pending: list[str] = []
     start = 0
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
+    ended = None
+    # A closing empty line ends a continuation left open at the end.
+    for number, raw in enumerate([*text.splitlines(), ""], 1):
+        line = raw.split("#", 1)[0].strip()
         if not pending:
             start = number
         if line.endswith("\\"):
@@ -91,10 +96,14 @@ def _logical_lines(text: str):
             continue
         tokens = pending + line.split()
         pending = []
-        if tokens:
+        if not tokens:
+            continue
+        if ended:
+            raise ParseError(f"content after {ended}", start)
+        if tokens[0] in end:
+            ended = tokens[0]
+        else:
             yield start, tokens
-    if pending:
-        yield start, pending
 
 
 def parse_blif(text: str) -> Netlist:
@@ -105,10 +114,7 @@ def parse_blif(text: str) -> Netlist:
     gates: list[Gate] = []
     latches: list[tuple[str, str]] = []
     current: Gate | None = None
-    ended = False
-    for number, tokens in _logical_lines(text):
-        if ended:
-            raise ParseError("content after .end", number)
+    for number, tokens in _logical_lines(text, (".end",)):
         head = tokens[0]
         if head.startswith("."):
             current = None
@@ -127,8 +133,6 @@ def parse_blif(text: str) -> Netlist:
                 if len(tokens) < 3:
                     raise ParseError(".latch needs input and output", number)
                 latches.append((tokens[1], tokens[2]))
-            elif head == ".end":
-                ended = True
             else:
                 raise ParseError(f"unsupported directive {head}", number)
             continue
@@ -171,7 +175,7 @@ def parse_pla(text: str) -> Netlist:
     ilb: list[str] | None = None
     ob: list[str] | None = None
     cubes: list[tuple[str, str]] = []
-    for number, tokens in _logical_lines(text):
+    for number, tokens in _logical_lines(text, (".e", ".end")):
         head = tokens[0]
         if head.startswith("."):
             if head == ".i":
@@ -182,9 +186,7 @@ def parse_pla(text: str) -> Netlist:
                 ilb = tokens[1:]
             elif head == ".ob":
                 ob = tokens[1:]
-            elif head in (".p", ".e", ".end"):
-                pass
-            else:
+            elif head != ".p":
                 raise ParseError(f"unsupported directive {head}", number)
             continue
         if n_in is None or n_out is None:
@@ -317,36 +319,35 @@ def build_circuit_bdds(netlist: Netlist, manager: BddManager) -> dict[str, int]:
 
     Returns a mapping from every cut output to its registered root.  A
     manager node limit, which also bounds each cover's own diagram,
-    turns into a BuildLimitError naming the gate where the ceiling was
-    hit.  Nothing is swept: the nodes of internal signals, and any
-    handle the caller holds without a root, stay live.
+    turns into a BuildLimitError naming the input or the gate where the
+    ceiling was hit.  Nothing is swept: the nodes of internal signals,
+    and any handle the caller holds without a root, stay live.
     """
     cut_inputs = netlist.cut_inputs
     if manager.n != len(cut_inputs):
         raise NetlistError(
             f"manager has {manager.n} variables, circuit needs {len(cut_inputs)}")
-    signal: dict[str, int] = {}
-    try:
-        for var, name in enumerate(cut_inputs):
-            signal[name] = manager.literal(var)
-    except NodeLimitError as exc:
-        raise BuildLimitError(
-            f"node limit reached while building input {name!r}") from exc
     # A cover that occurs more than once (an adder's XOR2, AND2 and MAJ3)
     # is built once per call; one that occurs once, such as each output
     # of a wide PLA, is dropped after use.
     keys = [_cover_key(gate) for gate in netlist.gates]
     count = Counter(keys)
     covers: dict[tuple, tuple[BddManager, int]] = {}
-    for gate, key in zip(netlist.gates, keys):
-        try:
+    signal: dict[str, int] = {}
+    kind = "input"
+    try:
+        for var, name in enumerate(cut_inputs):
+            signal[name] = manager.literal(var)
+        kind = "gate"
+        for gate, key in zip(netlist.gates, keys):
+            name = gate.output
             cover = covers.get(key) or _cover_bdd(*key, manager.node_limit)
             if count[key] > 1:
                 covers[key] = cover
-            signal[gate.output] = _gate_bdd(manager, gate, signal, cover)
-        except NodeLimitError as exc:
-            raise BuildLimitError(
-                f"node limit reached while building gate {gate.output!r}") from exc
+            signal[name] = _gate_bdd(manager, gate, signal, cover)
+    except NodeLimitError as exc:
+        raise BuildLimitError(
+            f"node limit reached while building {kind} {name!r}") from exc
     roots: dict[str, int] = {}
     for name in netlist.cut_outputs:
         ref = signal[name]
@@ -379,12 +380,11 @@ def _cover_bdd(k: int, patterns: tuple[str, ...],
 
 
 def _gate_bdd(manager: BddManager, gate: Gate, signal: dict[str, int],
-              cover: tuple[BddManager, int] | None = None) -> int:
-    """The gate's function: its cover's diagram (built here unless
-    ``cover`` gives it) with input i's signal substituted for variable
-    i.  A 0 output column maps the cover's terminals to their
-    complements, so no cover is negated."""
-    local, root = cover or _cover_bdd(*_cover_key(gate), manager.node_limit)
+              cover: tuple[BddManager, int]) -> int:
+    """The gate's function: its ``cover``'s diagram with input i's signal
+    substituted for variable i.  A 0 output column maps the cover's
+    terminals to their complements, so no cover is negated."""
+    local, root = cover
     memo = {ZERO: ONE, ONE: ZERO} if gate.rows and gate.rows[0][1] == "0" else None
     subst = {var: signal[name] for var, name in enumerate(gate.inputs)}
     return copy_function(local, root, manager, memo, subst)

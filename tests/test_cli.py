@@ -151,10 +151,12 @@ def test_extensionless_text_that_is_neither_is_read_as_blif(tmp_path, capsys):
 
 
 def test_measures_pla_matches_blif(capsys):
-    _, out_blif, _ = run(capsys, "measures", EXAMPLE1, "--format", "csv")
-    _, out_pla, _ = run(capsys, "measures", EXAMPLE1_PLA, "--format", "csv")
-    strip = lambda text: [line.split(",", 1)[1] for line in text.splitlines()[1:]]
-    assert strip(out_blif) == strip(out_pla)
+    """example1 as BLIF, as PLA and as a commented, continued truth
+    vector (example1.tt) gives one measures CSV."""
+    outs = [run(capsys, "measures", path, "--format", "csv")
+            for path in (EXAMPLE1, EXAMPLE1_PLA, str(DATA / "example1.tt"))]
+    assert outs[0][0] == 0
+    assert outs[1:] == outs[:1] * 2
 
 
 def test_reorder_info_trace(capsys):
@@ -210,7 +212,23 @@ def test_compare_json_timing(capsys):
     assert code == 0
     row = json.loads(out)[0]
     assert set(row) == {"circuit", "method", "size", "millis"}
-    assert isinstance(row["millis"], int)
+    assert row["millis"] == 0       # none runs no reorderer
+
+
+def test_compare_timing_reads_the_trace(capsys, monkeypatch):
+    """``--timing`` fills millis from each run's ``ReorderTrace.elapsed``."""
+    from bddinfo import cli
+    run_method = cli._run_method
+
+    def timed(manager, method, window):
+        trace = run_method(manager, method, window)
+        trace.elapsed = 1.2345
+        return trace
+    monkeypatch.setattr(cli, "_run_method", timed)
+    code, out, _ = run(capsys, "compare", EXAMPLE1, "--methods", "info,sift",
+                       "--format", "csv", "--timing")
+    assert (code, out.splitlines()[1:]) == (0, ["example1,info,3,1234",
+                                                "example1,sift,3,1234"])
 
 
 def test_compare_c17_within_soft_bound(capsys):
@@ -429,6 +447,11 @@ def test_vector_file(tmp_path, capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["order_after"] == "x1,x2,x3"
+    # Comments, blank lines and continuations are not bits.
+    _, want, _ = run(capsys, "measures", str(path), "--format", "csv")
+    for text in ("# comment\n10001111\n", "1000\\\n1111\n", "\n1000 1111  # f\n"):
+        path.write_text(text)
+        assert run(capsys, "measures", str(path), "--format", "csv") == (0, want, "")
     # Without an extension the format is read from the content.
     _, want, _ = run(capsys, "measures", EXAMPLE1, "--format", "csv")
     for source in ("example1.blif", "example1.pla"):

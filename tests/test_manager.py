@@ -663,6 +663,12 @@ class _Interrupt(BaseException):
     """Raised by a trace function inside the sweep; nothing catches it."""
 
 
+def _graphs(m, roots):
+    """Each root's reachable nodes with their keys.  Handles are
+    canonical, so equal keys under equal handles are equal functions."""
+    return [{u: m._node[u] for u in m._reachable([r])} for r in roots]
+
+
 def test_collect_garbage_is_interrupt_safe():
     """An exception raised at any line the sweep runs leaves a manager
     whose invariants hold and whose roots compute what they did, and a
@@ -678,7 +684,7 @@ def test_collect_garbage_is_interrupt_safe():
         roots = [base.register_root(base.build_from_truth_vector(
             random_function(rng, 6))) for _ in range(3)]
         base.apply(XOR, roots[0], roots[1])
-        tables = [enumerate_bdd(base, r).bits for r in roots]
+        graphs = _graphs(base, roots)
         dead = len(base) - base.count_nodes(roots)
         assert dead > 0
         for k in itertools.count():
@@ -703,7 +709,7 @@ def test_collect_garbage_is_interrupt_safe():
             finally:
                 sys.settrace(outer)
             assert_manager_consistent(m)
-            assert [enumerate_bdd(m, r).bits for r in roots] == tables
+            assert _graphs(m, roots) == graphs
             if retired is None:
                 points += 1
                 retired = m.collect_garbage()
@@ -728,7 +734,7 @@ def test_minting_is_interrupt_safe():
     base = BddManager(6, order=rng.sample(range(6), 6))
     roots = [base.register_root(base.build_from_truth_vector(
         random_function(rng, 6))) for _ in range(3)]
-    tables = [enumerate_bdd(base, r).bits for r in roots]
+    graphs = _graphs(base, roots)
     vector = random_function(rng, 6)
     runs = [(BddManager._ite, lambda m, op=op: m.apply(op, *roots[:2]))
             for op in (XOR, AND, OR)]
@@ -760,7 +766,7 @@ def test_minting_is_interrupt_safe():
             finally:
                 sys.settrace(outer)
             assert_manager_consistent(m)
-            assert [enumerate_bdd(m, r).bits for r in roots] == tables
+            assert _graphs(m, roots) == graphs
             if result is None:
                 points += 1
                 result = operation(m)

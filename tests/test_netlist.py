@@ -8,7 +8,8 @@ from bddinfo import (
     build_circuit_bdds, enumerate_bdd, format_blif, manager_for, parse_blif,
     parse_pla, weighted_sat_probability,
 )
-from bddinfo.netlist import Gate, _gate_bdd
+from bddinfo.cli import load_circuit
+from bddinfo.netlist import Gate, _cover_bdd, _cover_key, _gate_bdd
 
 from conftest import DATA, EXAMPLE1_VECTOR, assert_manager_consistent
 
@@ -88,6 +89,71 @@ def test_blif_continuation_lines():
     # A continuation at the end of the file ends the last line.
     nl = parse_blif(".model m\n.inputs a\n.outputs y\n.names a y\n1 1 \\")
     assert nl.gates[0].rows == [("1", "1")]
+
+
+# Each file as its logical lines, read without the reader under test:
+# none of these files has a comment after content or a continuation.
+_READER_FILES = {name: [line.split() for line in (DATA / name).read_text()
+                        .splitlines() if line.split() and line[0] != "#"]
+                 for name in ("example1.blif", "example1.pla", "c17.blif",
+                              "s27.blif")}
+_READER_FILES["example1.txt"] = [[EXAMPLE1_VECTOR]]
+_NOISE = st.lists(st.sampled_from(["", "   ", "# note", "#.end", "# 0 1 \\"]),
+                  max_size=2)
+
+
+@st.composite
+def _noisy(draw, lines):
+    """``lines`` written out with comment and blank lines between them,
+    a trailing comment or none on each, and its tokens separated by
+    blanks or by backslash continuations."""
+    text = []
+    for tokens in lines:
+        text += draw(_NOISE)
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += draw(st.sampled_from(
+                [" ", "\t", " \\\n", "\\\n", " \\\n  "])) + token
+        text.append(line + draw(st.sampled_from(["", "  ", " # trailing", "\t#x"])))
+    return "".join(line + "\n" for line in text + draw(_NOISE))
+
+
+def _loaded(path):
+    circuit = load_circuit(str(path))
+    return (circuit.input_names, [name for name, _ in circuit.outputs],
+            [enumerate_bdd(circuit.manager, root).bits
+             for _, root in circuit.outputs])
+
+
+@pytest.mark.parametrize("name", sorted(_READER_FILES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_comments_and_continuations_change_nothing(tmp_path_factory, name, data):
+    """Comment lines, trailing comments, blank lines and backslash
+    continuations at token boundaries leave the loaded circuit as it
+    was: its input and output names and each output's truth table.  A
+    truth vector is split into tokens at random places.  Content after
+    the end marker is refused at its line, and comments after it are
+    not."""
+    lines = _READER_FILES[name]
+    path = tmp_path_factory.mktemp("reader") / name
+    path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines))
+    want = _loaded(path)
+    if name.endswith(".txt"):
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(EXAMPLE1_VECTOR) - 1))))
+        lines = [[EXAMPLE1_VECTOR[i:j]
+                  for i, j in zip([0, *cuts], [*cuts, len(EXAMPLE1_VECTOR)])]]
+    text = data.draw(_noisy(lines))
+    path.write_text(text)
+    assert _loaded(path) == want
+    if name.endswith(".txt"):
+        return
+    stray = data.draw(st.sampled_from(["stray", "11 1", ".names a b", ".end", ".e"]))
+    text += stray + "\n"
+    path.write_text(text)
+    number, marker = text.count("\n"), lines[-1][0]
+    with pytest.raises(ParseError, match=f"^line {number}: content after {marker}$"):
+        load_circuit(str(path))
 
 
 def test_latch_cutting():
@@ -180,7 +246,7 @@ def test_build_respects_node_limit():
     manager = manager_for(nl, node_limit=2)
     with pytest.raises(BuildLimitError) as err:
         build_circuit_bdds(nl, manager)
-    assert "G" in str(err.value)   # names the gate reached
+    assert "building input 'G3'" in str(err.value)   # names the input reached
     # Room for the five inputs' literals only: the first gate hits it.
     manager = manager_for(nl, node_limit=5)
     with pytest.raises(BuildLimitError, match="building gate 'G10'"):
@@ -314,6 +380,7 @@ def test_feedback_through_latch_is_not_a_cycle():
     ".inputs c\n.outputs y\n.names c y\nx 1\n",    # bad pattern character
     ".inputs p\n.outputs y\n.names p y\n1 1\n0 0\n",  # mixed output phases
     ".inputs a\n.outputs z\n",          # output never defined
+    ".model m\n.e\n",                   # .e ends a PLA, not a BLIF
 ])
 def test_malformed_blif_raises_netlist_errors(text):
     from bddinfo import NetlistError
@@ -331,6 +398,8 @@ def test_malformed_blif_raises_netlist_errors(text):
     ".i 1\n.o 1\n1 x\n",                # bad output character
     ".i 2\n.o 1\n.ilb a\n11 1\n",        # .ilb names too few inputs
     ".i 1\n.o 1\n.ob f g\n1 1\n",        # .ob names too many outputs
+    ".i 2\n.o 1\n11 1\n.e\n00 1\n",      # cube after the end marker
+    ".i 2\n.o 1\n11 1\n.end\n00 1\n",    # cube after the end marker
 ])
 def test_malformed_pla_raises_netlist_errors(text):
     from bddinfo import NetlistError
@@ -399,7 +468,8 @@ def test_gate_bdd_matches_sum_of_products(n, data):
                           if patterns else st.just([]))
     out = data.draw(st.sampled_from("01"))
     gate = Gate(output="g", inputs=inputs, rows=[(p, out) for p in patterns])
-    assert _gate_bdd(m, gate, signal) == _sum_of_products(m, gate, signal)
+    cover = _cover_bdd(*_cover_key(gate), None)
+    assert _gate_bdd(m, gate, signal, cover) == _sum_of_products(m, gate, signal)
     assert_manager_consistent(m)
 
 
