@@ -266,15 +266,15 @@ def _cmd_oracle_check(args, out) -> int:
         report = oracle_mod.exact_measures(tt, subsets=tuple(subsets))
         bdd = measures_mod.measure_report(manager, root, subsets=subsets)
         profile = measures_mod.all_joint_probabilities(manager, root)
-        rows = [("p(f=1)", profile.sat, float(tt.sat_probability())),
+        rows = [("p(f=1)", profile.sat, report.sat),
                 ("H(f)", bdd.entropy, report.entropy)]
         for var, var_name in enumerate(names):
             for b in (0, 1):
                 conditional = profile.conditional[var][b]
                 rows += [(f"p(f=1,{var_name}={b})", profile.joint[var][b],
-                          float(oracle_mod.joint_probability(tt, var, b))),
+                          oracle_mod.joint_probability(tt, var, b)),
                          (f"p(f=1|{var_name}={b})", conditional,
-                          float(oracle_mod.conditional_probability(tt, var, b))),
+                          oracle_mod.conditional_probability(tt, var, b)),
                          (f"forced-weight p(f=1|{var_name}={b})",
                           measures_mod.weighted_sat_probability(
                               manager, root, uniform.forced(var, b)),

@@ -518,8 +518,8 @@ def conditional_entropy_set(manager: BddManager, root: int,
 def mutual_information(manager: BddManager, root: int, var: int,
                        w: VarProbabilities | None = None) -> float:
     """I(f;x) = H(f) - H(f|x) in bits, from one ``_conditioned`` call."""
-    w = _check_weights(manager.n, w)
     manager._check(root)
+    w = _check_weights(manager.n, w)
     manager._check_var(var)
     queries = [_query(manager, set()), _query(manager, {var})]
     (h, hv), _ = _conditioned(manager, [{root: 1.0}], queries, w)

@@ -4,10 +4,10 @@ Functions here work on flat truth tables stored as integer bitmasks.
 ``enumerate_bdd`` is the one bridge from a diagram: it composes each
 node's table from its children's and reads only the node triples, so
 it never runs the if-then-else kernel, a swap or a measure.
-Probabilities are exact integers over a power of two, from assignment
-counts under uniform inputs and from per-assignment weights otherwise,
-and only become floats at the entropy step, so a floating-point bug in
-the graph algorithms cannot hide behind an identical bug here.
+Probabilities are integers over a power of two, counts of assignments or
+sums of weights, that become floats only where they leave the oracle: as
+entropies, or as counts over a power of two that a float holds exactly.
+So a float bug in the graph code cannot hide behind an identical one here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .manager import (ONE, ZERO, BddManager, _entries, _index, _permutation,
                       _truth_vector)
@@ -42,7 +41,8 @@ class TruthTable:
     bits: int
 
     def __post_init__(self):
-        _index(self.n, None, ValueError, "variable count")
+        if _index(self.n, None, ValueError, "variable count") > MAX_ENUM_VARS:
+            raise OracleLimitError(f"refusing a table over {self.n} variables")
         if _index(self.bits, None, ValueError, "table bits") >> (1 << self.n):
             raise ValueError("table bits out of range for n")
 
@@ -66,8 +66,8 @@ class TruthTable:
     def ones(self) -> int:
         return self.bits.bit_count()
 
-    def sat_probability(self) -> Fraction:
-        return Fraction(self.ones, self.assignments)
+    def sat_probability(self) -> float:
+        return self.ones / self.assignments
 
 
 def _table(tt) -> TruthTable:
@@ -144,17 +144,17 @@ def enumerate_bdd(manager: BddManager, root: int) -> TruthTable:
     return TruthTable(n, tables[root])
 
 
-def joint_probability(tt: TruthTable, var: int, value: int) -> Fraction:
-    """Exact p(f=1, x=value) under uniform inputs: p(x=value) is 1/2."""
+def joint_probability(tt: TruthTable, var: int, value: int) -> float:
+    """Exact p(f=1, x=value) under uniform inputs: a count over 2**n."""
     return conditional_probability(tt, var, value) / 2
 
 
-def conditional_probability(tt: TruthTable, var: int, value: int) -> Fraction:
-    """Exact p(f=1 | x=value) under uniform inputs."""
+def conditional_probability(tt: TruthTable, var: int, value: int) -> float:
+    """Exact p(f=1 | x=value) under uniform inputs: a count over 2**(n-1)."""
     n = _table(tt).n
     mask = _var_mask(n, _index(var, n, ValueError, "variable"),
                      _index(value, 2, ValueError, "value"))
-    return Fraction((tt.bits & mask).bit_count(), 1 << (n - 1))
+    return (tt.bits & mask).bit_count() / (1 << (n - 1))
 
 
 def _entropy(num: int, den: int) -> float:

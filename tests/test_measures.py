@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    AND, ONE, OR, XOR, ZERO, BddManager, UsageError, VarProbabilities,
-    WeightError,
+    AND, ONE, OR, XOR, ZERO, BddManager, ManagerMismatchError, UsageError,
+    VarProbabilities, WeightError,
     all_joint_probabilities, conditional_entropy_set, conditional_entropy_var,
     entropy, enumerate_bdd, exact_measures, info_reorder, measure_report,
     mutual_information, reach_probabilities, weighted_sat_probability,
@@ -111,6 +111,29 @@ def test_weights_must_be_var_probabilities(example1):
         entropy(manager, root, pairs)
     with pytest.raises(WeightError):
         info_reorder(manager, weights=pairs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, f, w: weighted_sat_probability(m, f, w),
+    lambda m, f, w: reach_probabilities(m, f, w),
+    lambda m, f, w: all_joint_probabilities(m, f, w),
+    lambda m, f, w: entropy(m, f, w),
+    lambda m, f, w: conditional_entropy_var(m, f, 0, w),
+    lambda m, f, w: conditional_entropy_set(m, f, (0, 1), w),
+    lambda m, f, w: mutual_information(m, f, 0, w),
+    lambda m, f, w: measure_report(m, f, w),
+], ids=["weighted_sat_probability", "reach_probabilities",
+        "all_joint_probabilities", "entropy", "conditional_entropy_var",
+        "conditional_entropy_set", "mutual_information", "measure_report"])
+def test_stale_root_is_refused_before_the_weights(call):
+    """Every single-root measure checks its root first: a collected
+    handle with weights that are no VarProbabilities raises
+    ManagerMismatchError, not WeightError."""
+    m = BddManager(3)
+    stale = m.apply(XOR, m.literal(0), m.literal(2))
+    assert m.collect_garbage() > 0
+    with pytest.raises(ManagerMismatchError):
+        call(m, stale, [(0.5, 0.5)] * 3)
 
 
 def test_sat_probability_example1(example1):

@@ -12,7 +12,7 @@ from bddinfo import (
     bdd_size_for_order, best_order_exhaustive, enumerate_bdd, exact_measures,
 )
 from bddinfo.oracle import (
-    OracleLimitError, _var_mask, conditional_probability, joint_probability,
+    MAX_ENUM_VARS, OracleLimitError, _var_mask, conditional_probability, joint_probability,
 )
 
 from conftest import EXAMPLE1_VECTOR, H_F, H_F_X1, H_F_X1X2, H_F_X2, random_function
@@ -36,6 +36,12 @@ def test_enumerate_refuses_large():
     from bddinfo import ONE
     with pytest.raises(OracleLimitError):
         enumerate_bdd(m, ONE)
+    # A table over more than MAX_ENUM_VARS variables is refused when it
+    # is made, before any table function builds an int of 2**n bits.
+    for n in (MAX_ENUM_VARS + 1, 40):
+        with pytest.raises(OracleLimitError, match=f"over {n} variables"):
+            TruthTable(n, 0)
+    assert TruthTable(MAX_ENUM_VARS, 0).ones == 0
 
 
 def test_truth_table_string_roundtrip():
@@ -127,6 +133,25 @@ def test_exact_measures_example1():
     assert report.counts == (8, 5)
     assert joint_probability(tt, 1, 1) == Fraction(1, 4)
     assert conditional_probability(tt, 1, 0) == Fraction(3, 4)
+
+
+def test_uniform_probabilities_are_exact_floats(rng):
+    """p(f=1), p(f=1, x=b) and p(f=1 | x=b) are floats equal to their
+    counts over 2**n and 2**(n-1), on seeded tables at n = 1..12."""
+    for n in range(1, 13):
+        for _ in range(3):
+            tt = TruthTable(n, rng.getrandbits(1 << n))
+            got = tt.sat_probability()
+            assert type(got) is float and got == Fraction(tt.ones, 1 << n)
+            for var in range(n):
+                for b in (0, 1):
+                    count = sum(tt.value(i) for i in range(1 << n)
+                                if (i >> (n - 1 - var)) & 1 == b)
+                    joint = joint_probability(tt, var, b)
+                    conditional = conditional_probability(tt, var, b)
+                    assert type(joint) is float and type(conditional) is float
+                    assert joint == Fraction(count, 1 << n), (n, var, b)
+                    assert conditional == Fraction(count, 1 << (n - 1)), (n, var, b)
 
 
 def test_exact_measures_constant():
