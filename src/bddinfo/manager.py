@@ -38,7 +38,7 @@ _ID_SPAN = 1 << 40
 # 0 and 1 map to slots 0 and 1 in every manager.
 _SLOT = _ID_SPAN - 1
 _BITS = {"0": 0, "1": 1}                   # truth vector characters
-_MAX_VECTOR = 1 << 24                      # longest truth vector read
+_MAX_VECTOR = 1 << 24      # longest truth vector read, widest oracle table
 
 
 class BddError(Exception):
@@ -234,10 +234,8 @@ class BddManager:
         solve and the nodes still to intern wait on an explicit stack,
         so the depth is not bounded by Python's recursion limit, and
         handles are minted in the order a recursion would mint them.
-        When f is a literal above g and h, the node (f's variable, h, g)
-        is interned at once, with no split and no cache entry.  Every
-        node is interned at one inline block, ``_mk``'s lookup, limit
-        check and mint in that order, with no call per node."""
+        Every node is interned at one inline block, ``_mk``'s lookup,
+        limit check and mint in that order, with no call per node."""
         cache = self._cache
         nodes = self._node
         level = self._var_level
@@ -249,9 +247,7 @@ class BddManager:
         mask = _SLOT
         n = self.n
         # Splits whose halves are not both solved: (key, var, f1, g1, h1)
-        # while the low half is solved, then (key, var, r0) while the
-        # high.  A literal f waits as (None, var, h) with g as its high
-        # half, so it is interned by the same block and never cached.
+        # while the low half is solved, then (key, var, r0) while the high.
         waiting = []
         while True:
             if g == f:
@@ -265,41 +261,32 @@ class BddManager:
             elif g == ONE and h == ZERO:
                 r = f
             else:
-                if g == ONE and f > h:      # f or h: one cache entry per pair
-                    f, h = h, f
-                elif h == ZERO and f > g:   # f and g
-                    f, g = g, f
                 key = (f, g, h)
                 r = cache.get(key)
                 if r is None:
                     tf, tg, th = nodes[f], nodes.get(g), nodes.get(h)
-                    lf = level[tf[0]]
+                    top = lf = level[tf[0]]
                     lg = n if tg is None else level[tg[0]]
                     lh = n if th is None else level[th[0]]
-                    if lf < lg and lf < lh and tf[1] == ZERO and tf[2] == ONE:
-                        waiting.append((None, tf[0], h))  # f is a literal above g and h
-                        r = g
+                    if lg < top:
+                        top = lg
+                    if lh < top:
+                        top = lh
+                    if lf == top:
+                        _, f0, f1 = tf
                     else:
-                        top = lf
-                        if lg < top:
-                            top = lg
-                        if lh < top:
-                            top = lh
-                        if lf == top:
-                            _, f0, f1 = tf
-                        else:
-                            f0 = f1 = f
-                        if lg == top:
-                            _, g0, g1 = tg
-                        else:
-                            g0 = g1 = g
-                        if lh == top:
-                            _, h0, h1 = th
-                        else:
-                            h0 = h1 = h
-                        waiting.append((key, level_var[top], f1, g1, h1))
-                        f, g, h = f0, g0, h0
-                        continue
+                        f0 = f1 = f
+                    if lg == top:
+                        _, g0, g1 = tg
+                    else:
+                        g0 = g1 = g
+                    if lh == top:
+                        _, h0, h1 = th
+                    else:
+                        h0 = h1 = h
+                    waiting.append((key, level_var[top], f1, g1, h1))
+                    f, g, h = f0, g0, h0
+                    continue
             while waiting:              # r solves the half on top of the stack
                 split = waiting.pop()
                 if len(split) == 5:
@@ -325,8 +312,7 @@ class BddManager:
                             self._unmint(u, k)
                             raise
                     r = u
-                if key is not None:
-                    cache[key] = r
+                cache[key] = r
             else:
                 return r
 

@@ -74,8 +74,9 @@ class Netlist:
 
     @property
     def cut_outputs(self) -> list[str]:
-        """Primary outputs plus latch data inputs."""
-        return self.outputs + [d for d, _ in self.latches]
+        """Primary outputs plus latch data inputs, each signal once, in
+        order of its first role."""
+        return list(dict.fromkeys(self.outputs + [d for d, _ in self.latches]))
 
 
 def _logical_lines(text: str, end: tuple[str, ...] = ()):

@@ -17,11 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .manager import (ONE, ZERO, BddManager, _entries, _index, _permutation,
-                      _truth_vector)
+from .manager import (ONE, ZERO, BddManager, _MAX_VECTOR, _entries, _index,
+                      _permutation, _truth_vector)
 from .measures import MeasureReport, VarProbabilities, _check_weights
 
-MAX_ENUM_VARS = 24
+MAX_ENUM_VARS = _MAX_VECTOR.bit_length() - 1     # a table is a truth vector
 MAX_ORDER_SEARCH_VARS = 8
 
 

@@ -15,7 +15,7 @@ from bddinfo import (
     bdd_size_for_order, copy_function, entropy, enumerate_bdd, info_reorder,
     sift, window_permute,
 )
-from bddinfo.manager import _SLOT
+from bddinfo.manager import _OPS, _SLOT
 
 from conftest import EXAMPLE1_VECTOR, assert_manager_consistent, random_function
 
@@ -150,7 +150,8 @@ def test_ite_matches_truth_table_operations(n, data):
 def test_ite_of_a_literal(n, data):
     """``_ite(literal, g, h)`` with the literal above, below or between
     g and h is the handle of its truth table; above both it interns the
-    node at once and adds no cache entry."""
+    node over h and g, and the cache gains at most the one entry
+    ``(lit, g, h) -> r``."""
     m = BddManager(n, order=data.draw(st.permutations(range(n))))
     var = data.draw(st.integers(0, n - 1))
     lit = m.literal(var)
@@ -177,7 +178,7 @@ def test_ite_of_a_literal(n, data):
         TruthTable(n, (F & G) | (~F & H & full)).to_string())
     if level < min(m.level_of(g), m.level_of(h)) and g != h:
         assert m.node(r) == (var, h, g)
-        assert m._cache == cached
+        assert m._cache in (cached, {**cached, (lit, g, h): r})
     assert_manager_consistent(m)
 
 
@@ -911,10 +912,37 @@ def test_ite_does_not_recurse():
     assert_manager_consistent(m)
 
 
+def test_recomputation_mints_nothing(rng):
+    """With the op cache cleared, every apply of a random storm returns
+    the handle it returned first, and so do AND and OR with their
+    operands swapped, and no node is minted: every node a recomputation
+    interns is already in the unique tables.  XOR swapped is left out,
+    since it complements the other operand, which may be new."""
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = BddManager(n, order=rng.sample(range(n), n))
+        pool = [ZERO, ONE] + [m.literal(v) for v in range(n)] + [
+            m.build_from_truth_vector(random_function(rng, n)) for _ in range(2)]
+        calls = []
+        for _ in range(20):
+            op, a, b = rng.choice(_OPS), rng.choice(pool), rng.choice(pool)
+            r = m.apply(op, a, b)
+            calls.append((op, a, b, r))
+            pool.append(r)
+        m._cache.clear()
+        minted = len(m._refs)
+        for op, a, b, r in calls:
+            assert m.apply(op, a, b) == r
+            if op != XOR:
+                assert m.apply(op, b, a) == r
+        assert len(m._refs) == minted
+        assert_manager_consistent(m)
+
+
 def _reference_ite(m, f, g, h):
     """The if-then-else kernel as written before it interned its own
-    nodes: the same splits, low half first, and every node interned
-    through ``m._mk``."""
+    nodes: the same cache key, the same splits, low half first, and
+    every node interned through ``m._mk``."""
     cache = m._cache
     nodes = m._node
     level = m._var_level
@@ -933,10 +961,6 @@ def _reference_ite(m, f, g, h):
         elif g == ONE and h == ZERO:
             r = f
         else:
-            if g == ONE and f > h:
-                f, h = h, f
-            elif h == ZERO and f > g:
-                f, g = g, f
             key = (f, g, h)
             r = cache.get(key)
             if r is None:
@@ -944,16 +968,13 @@ def _reference_ite(m, f, g, h):
                 lf = level[tf[0]]
                 lg = n if tg is None else level[tg[0]]
                 lh = n if th is None else level[th[0]]
-                if lf < lg and lf < lh and tf[1] == ZERO and tf[2] == ONE:
-                    r = mk(tf[0], h, g)
-                else:
-                    top = min(lf, lg, lh)
-                    _, f0, f1 = tf if lf == top else (0, f, f)
-                    _, g0, g1 = tg if lg == top else (0, g, g)
-                    _, h0, h1 = th if lh == top else (0, h, h)
-                    waiting.append((key, m._level_var[top], f1, g1, h1))
-                    f, g, h = f0, g0, h0
-                    continue
+                top = min(lf, lg, lh)
+                _, f0, f1 = tf if lf == top else (0, f, f)
+                _, g0, g1 = tg if lg == top else (0, g, g)
+                _, h0, h1 = th if lh == top else (0, h, h)
+                waiting.append((key, m._level_var[top], f1, g1, h1))
+                f, g, h = f0, g0, h0
+                continue
         while waiting:
             split = waiting.pop()
             if len(split) == 5:
@@ -1008,8 +1029,8 @@ def test_ite_kernel_matches_reference_ite(rng):
                 f = rng.choice(copies)
                 run = lambda x: copy_function(src, f, x)
             else:
-                # Mostly a literal above both operands, so the literal
-                # route runs; otherwise any variable.
+                # Mostly a literal above both operands, which splits
+                # into two terminal halves; otherwise any variable.
                 top = min(m.level_of(a), m.level_of(b))
                 var = m.var_at_level(rng.randrange(top)) \
                     if top and rng.random() < 0.7 else rng.randrange(n)

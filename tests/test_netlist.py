@@ -336,6 +336,22 @@ def test_multiple_latches():
     assert roots["q1"] == manager.literal(2)
 
 
+@pytest.mark.parametrize("latches, outputs, cut", [
+    (".latch d q\n", "d", ["d"]),          # a primary output and a latch input
+    (".latch d q\n.latch d r\n", "q", ["q", "d"]),   # one input, two latches
+])
+def test_a_signal_with_several_roles_is_one_output(tmp_path, latches, outputs, cut):
+    """A signal that is an output in more than one role is listed,
+    built and registered once, in the order of its first role."""
+    path = tmp_path / "roles.blif"
+    path.write_text(f".model t\n.inputs a b\n.outputs {outputs}\n{latches}"
+                    ".names a q d\n11 1\n.end\n")
+    nl = parse_blif(path.read_text())
+    assert nl.cut_outputs == cut
+    circuit = load_circuit(str(path))
+    assert [name for name, _ in circuit.outputs] == nl.cut_outputs
+    assert circuit.manager.registered_roots == tuple(r for _, r in circuit.outputs)
+
 def test_s27_sequential_benchmark():
     nl = parse_blif((DATA / "s27.blif").read_text())
     assert nl.cut_inputs == ["G0", "G1", "G2", "G3", "G5", "G6", "G7"]
