@@ -52,7 +52,7 @@ def _sniff_format(path: str, text: str) -> str:
     for _, tokens in netlist_mod._logical_lines(text):
         head = tokens[0]
         if head.startswith("."):
-            if head in (".i", ".o", ".p", ".ilb", ".ob", ".e"):
+            if head in netlist_mod._PLA_DIRECTIVES:
                 return "pla"
             return "blif"
         if set("".join(tokens)) <= {"0", "1"}:

@@ -671,7 +671,8 @@ def _truth_vector(bits) -> list[int]:
         bits = list(itertools.islice(_entries(bits, InputError, "truth vector"),
                                      _MAX_VECTOR + 1))
     if len(bits) > _MAX_VECTOR:
-        raise InputError("truth vector longer than 2**24 is not supported")
+        raise InputError(f"truth vector longer than 2**{_MAX_VECTOR.bit_length() - 1}"
+                         " is not supported")
     if isinstance(bits, str):
         try:
             vec = [_BITS[ch] for ch in bits]

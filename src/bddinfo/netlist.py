@@ -67,6 +67,9 @@ class Netlist:
     gates: list[Gate] = field(default_factory=list)
     latches: list[tuple[str, str]] = field(default_factory=list)  # (data in, out)
 
+    def __post_init__(self) -> None:
+        _validate(self)
+
     @property
     def cut_inputs(self) -> list[str]:
         """Primary inputs plus latch outputs, in declaration order."""
@@ -139,29 +142,20 @@ def parse_blif(text: str) -> Netlist:
             continue
         if current is None:
             raise ParseError(f"cover row outside .names: {' '.join(tokens)}", number)
-        if len(current.inputs) == 0:
-            if len(tokens) != 1 or tokens[0] not in ("0", "1"):
-                raise ParseError("constant cover row must be a single 0 or 1", number)
-            pattern, out = "", tokens[0]
-        else:
-            if len(tokens) != 2:
-                raise ParseError("cover row must be '<pattern> <value>'", number)
-            pattern, out = tokens
-        if len(pattern) != len(current.inputs):
-            raise ParseError(
-                f"pattern {pattern!r} does not match {len(current.inputs)} inputs",
-                number)
-        if set(pattern) - {"0", "1", "-"}:
-            raise ParseError(f"bad pattern character in {pattern!r}", number)
-        if out not in ("0", "1"):
-            raise ParseError(f"output value must be 0 or 1, got {out!r}", number)
+        row = tokens if current.inputs else ["", *tokens]
+        if len(row) != 2:
+            raise ParseError("cover row must be '<pattern> <value>'", number)
+        pattern = _columns(row[0], len(current.inputs), "01-", "pattern", number)
+        out = _columns(row[1], 1, "01", "output value", number)
         if current.rows and current.rows[0][1] != out:
             raise ParseError("mixed output phases within one .names cover", number)
         current.rows.append((pattern, out))
-    netlist = Netlist(name=name, inputs=inputs, outputs=outputs,
-                      gates=gates, latches=latches)
-    _validate(netlist)
-    return netlist
+    return Netlist(name=name, inputs=inputs, outputs=outputs,
+                   gates=gates, latches=latches)
+
+
+# Directives that parse_pla reads; ".e", like ".end", ends the cover.
+_PLA_DIRECTIVES = frozenset((".i", ".o", ".p", ".ilb", ".ob", ".e"))
 
 
 def parse_pla(text: str) -> Netlist:
@@ -179,6 +173,8 @@ def parse_pla(text: str) -> Netlist:
     for number, tokens in _logical_lines(text, (".e", ".end")):
         head = tokens[0]
         if head.startswith("."):
+            if head not in _PLA_DIRECTIVES:
+                raise ParseError(f"unsupported directive {head}", number)
             if head == ".i":
                 n_in = _int_argument(tokens, number)
             elif head == ".o":
@@ -187,29 +183,14 @@ def parse_pla(text: str) -> Netlist:
                 ilb = tokens[1:]
             elif head == ".ob":
                 ob = tokens[1:]
-            elif head != ".p":
-                raise ParseError(f"unsupported directive {head}", number)
             continue
         if n_in is None or n_out is None:
             raise ParseError("cube row before .i/.o headers", number)
-        if len(tokens) == 2:
-            inpart, outpart = tokens
-        elif len(tokens) == 1 and n_out == 0:
-            inpart, outpart = tokens[0], ""
-        else:
+        row = tokens if n_out else [*tokens, ""]
+        if len(row) != 2:
             raise ParseError("cube row must be '<inputs> <outputs>'", number)
-        if len(inpart) != n_in:
-            raise ParseError(
-                f"input part {inpart!r} has {len(inpart)} columns, expected {n_in}",
-                number)
-        if len(outpart) != n_out:
-            raise ParseError(
-                f"output part {outpart!r} has {len(outpart)} columns, expected {n_out}",
-                number)
-        if set(inpart) - {"0", "1", "-"}:
-            raise ParseError(f"bad input character in {inpart!r}", number)
-        if set(outpart) - {"0", "1", "~"}:
-            raise ParseError(f"bad output character in {outpart!r}", number)
+        inpart = _columns(row[0], n_in, "01-", "input part", number)
+        outpart = _columns(row[1], n_out, "01~", "output part", number)
         cubes.append((inpart, outpart))
     if n_in is None or n_out is None:
         raise ParseError("missing .i/.o headers")
@@ -223,10 +204,8 @@ def parse_pla(text: str) -> Netlist:
     for j, out_name in enumerate(outputs):
         rows = [(inpart, "1") for inpart, outpart in cubes if outpart[j] == "1"]
         gates.append(Gate(output=out_name, inputs=list(inputs), rows=rows))
-    netlist = Netlist(name="", inputs=list(inputs), outputs=list(outputs),
-                      gates=gates)
-    _validate(netlist)
-    return netlist
+    return Netlist(name="", inputs=list(inputs), outputs=list(outputs),
+                   gates=gates)
 
 
 def _int_argument(tokens: list[str], number: int) -> int:
@@ -242,8 +221,16 @@ def _int_argument(tokens: list[str], number: int) -> int:
     return value
 
 
+def _columns(part: str, width: int, alphabet: str, what: str,
+             line: int | None = None) -> str:
+    """``part`` if it is ``width`` characters over ``alphabet``, else ParseError."""
+    if len(part) == width and not part.strip(alphabet):
+        return part
+    raise ParseError(f"{what} {part!r} needs {width} columns over {alphabet}", line)
+
+
 def _validate(netlist: Netlist) -> None:
-    """Check signal definitions, reject cycles, topo-sort the gates."""
+    """Check signal definitions and gate rows, reject cycles, topo-sort."""
     available: set[str] = set()
     for sig in netlist.cut_inputs:
         if sig in available:
@@ -259,6 +246,11 @@ def _validate(netlist: Netlist) -> None:
         if gate.output in defined or gate.output in available:
             raise ParseError(f"signal {gate.output!r} defined twice")
         defined[gate.output] = gate
+        for pattern, out in gate.rows:
+            _columns(pattern, len(gate.inputs), "01-", f"gate {gate.output!r} pattern")
+            _columns(out, 1, "01", f"gate {gate.output!r} output value")
+        if len({out for _, out in gate.rows}) > 1:
+            raise ParseError(f"gate {gate.output!r} mixes output phases")
     for gate in netlist.gates:
         for sig in gate.inputs:
             if sig not in available and sig not in defined:

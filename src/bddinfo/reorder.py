@@ -60,10 +60,10 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
          search: Callable[[list[int]], Iterator[TraceStep]]) -> ReorderTrace:
     """The plumbing every reorderer shares around its ``search``.
 
-    Explicit ``roots`` are registered, then garbage is swept once.  Every
-    registered root is snapshotted: truth tables up to
-    _EXHAUSTIVE_CHECK_VARS variables, a ``clone()`` above.  ``search`` is
-    called with the explicit roots (default: the registered ones) and
+    Explicit ``roots`` are all checked, then registered, then garbage is
+    swept once.  Every registered root is snapshotted: truth tables up
+    to _EXHAUSTIVE_CHECK_VARS variables, a ``clone()`` above.  ``search``
+    is called with the explicit roots (default: the registered ones) and
     its steps fill the trace.  Afterwards every registered root must
     still compute its snapshotted function, or BddError is raised.  On
     the clone path the final roots are rebuilt inside the clone, which
@@ -73,6 +73,8 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     t0 = time.perf_counter()
     roots = list(manager.registered_roots if roots is None
                  else _entries(roots, UsageError, "roots"))
+    for r in roots:
+        manager._check(r)
     registered = set(manager.registered_roots)
     for r in roots:
         if r not in registered:

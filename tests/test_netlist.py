@@ -602,3 +602,31 @@ def test_expansion_merges_rows_with_one_remainder(shape):
     signal = {name: m.literal(v) for v, name in enumerate(nl.cut_inputs)}
     assert root == _sum_of_products(m, nl.gates[0], signal)
     assert_manager_consistent(m)
+
+
+@pytest.mark.parametrize("gates, error", [
+    ([Gate("y", ["a", "b"], [("11", "1")])], UndefinedSignalError),
+    ([Gate("y", ["z"], [("1", "1")]), Gate("z", ["y"], [("1", "1")])], CycleError),
+    ([Gate("y", ["a"], [("1", "1"), ("0", "0")])], ParseError),
+    ([Gate("y", ["a"], [("11", "1")])], ParseError),
+    ([Gate("y", ["a"], [("x", "1")])], ParseError),
+    ([Gate("y", ["a"], [("1", "2")])], ParseError),
+], ids=["undefined", "cycle", "mixed-phase", "pattern-width", "pattern-char",
+        "output-value"])
+def test_a_netlist_made_in_code_is_checked(gates, error):
+    """A Netlist is checked by the same rules whether parsed or made."""
+    from bddinfo import Netlist, NetlistError
+    with pytest.raises(error) as refused:
+        Netlist("made", ["a"], ["y"], gates)
+    assert isinstance(refused.value, NetlistError)
+
+
+def test_a_netlist_made_in_code_is_sorted():
+    from bddinfo import Netlist
+    z = Gate("z", ["a"], [("0", "1")])
+    y = Gate("y", ["z", "b"], [("11", "1")])
+    nl = Netlist("made", ["a", "b"], ["y"], [y, z])
+    assert nl.gates == [z, y]
+    m = manager_for(nl)
+    root = build_circuit_bdds(nl, m)["y"]
+    assert [m.evaluate(root, [a, b]) for a in (0, 1) for b in (0, 1)] == [0, 1, 0, 0]

@@ -823,3 +823,13 @@ def test_a_root_corrupted_by_the_last_swap_is_caught(rng, monkeypatch,
         method(m, roots=roots)
     assert len(calls) == last
     assert_manager_consistent(m)
+
+
+@pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
+def test_a_refused_reorder_registers_nothing(method):
+    from bddinfo import AND, ManagerMismatchError
+    m = BddManager(3)
+    f = m.apply(AND, m.literal(0), m.literal(1))
+    with pytest.raises(ManagerMismatchError):
+        method(m, [f, "x"])
+    assert m.registered_roots == ()
