@@ -175,6 +175,8 @@ def parse_pla(text: str) -> Netlist:
         if head.startswith("."):
             if head not in _PLA_DIRECTIVES:
                 raise ParseError(f"unsupported directive {head}", number)
+            if head in (".i", ".o") and cubes:
+                raise ParseError(f"{head} after the first cube row", number)
             if head == ".i":
                 n_in = _int_argument(tokens, number)
             elif head == ".o":

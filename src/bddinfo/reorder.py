@@ -61,14 +61,15 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     """The plumbing every reorderer shares around its ``search``.
 
     Explicit ``roots`` are all checked, then registered, then garbage is
-    swept once.  Every registered root is snapshotted: truth tables up
-    to _EXHAUSTIVE_CHECK_VARS variables, a ``clone()`` above.  ``search``
-    is called with the explicit roots (default: the registered ones) and
-    its steps fill the trace.  Afterwards every registered root must
-    still compute its snapshotted function, or BddError is raised.  On
-    the clone path the final roots are rebuilt inside the clone, which
-    keeps the initial order, so the check builds nothing in ``manager``;
-    the clone keeps ``manager.node_limit``.
+    swept once.  ``search`` is called with the explicit roots (default:
+    the registered ones), and the trace is built from its steps.  The
+    check takes one image of every registered root on entry and compares
+    it once on exit, raising BddError if a function changed: truth
+    tables up to _EXHAUSTIVE_CHECK_VARS variables; above that the roots
+    themselves, in a ``clone()`` taken on entry, against the final roots
+    rebuilt inside it.  The clone keeps the initial order and is the
+    check's own scratch copy with no ``node_limit``, so the check builds
+    nothing in ``manager`` and fails only on a changed function.
     """
     t0 = time.perf_counter()
     roots = list(manager.registered_roots if roots is None
@@ -82,34 +83,30 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
             registered.add(r)
     manager.collect_garbage()
     kept = list(manager.registered_roots)
-    tabulate = manager.n <= _EXHAUSTIVE_CHECK_VARS
-    if tabulate:
-        tables = [oracle.enumerate_bdd(manager, r).bits for r in kept]
-    else:
-        before = manager.clone()
-    trace = ReorderTrace(method=method,
-                         initial_order=list(manager.order),
-                         final_order=[],
-                         initial_size=len(manager),
-                         final_size=0)
-    swaps = manager._swaps
-    trace.steps.extend(search(roots))
-    trace.swaps = manager._swaps - swaps
-    trace.final_order = list(manager.order)
-    trace.final_size = len(manager)
-    if tabulate:
-        changed = any(oracle.enumerate_bdd(manager, r).bits != bits
-                      for r, bits in zip(kept, tables))
+    if manager.n <= _EXHAUSTIVE_CHECK_VARS:
+        def image() -> list:
+            return [oracle.enumerate_bdd(manager, r).bits for r in kept]
+        entry = image()
     else:
         # Both managers are canonical and share every handle live at the
-        # copy, and the clone mints new handles from its own range, so
+        # copy, and the copy mints new handles from its own range, so
         # the rebuild returns r exactly when r's function is unchanged.
-        memo: dict[int, int] = {}
-        changed = any(copy_function(manager, r, before, memo) != r for r in kept)
-    if changed:
+        scratch = manager.clone()
+        scratch.node_limit = None
+
+        def image() -> list:
+            memo: dict[int, int] = {}
+            return [copy_function(manager, r, scratch, memo) for r in kept]
+        entry = kept
+    order, size, swaps = list(manager.order), len(manager), manager._swaps
+    steps = list(search(roots))
+    if image() != entry:
         raise BddError("reordering changed a root's function")
-    trace.elapsed = time.perf_counter() - t0
-    return trace
+    return ReorderTrace(method=method, initial_order=order,
+                        final_order=list(manager.order), initial_size=size,
+                        final_size=len(manager), steps=steps,
+                        elapsed=time.perf_counter() - t0,
+                        swaps=manager._swaps - swaps)
 
 
 def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
@@ -248,13 +245,10 @@ def window_permute(manager: BddManager, roots: Iterable[int] | None = None,
                 above = frozenset(order[:start])
                 if (above, base_perm) in settled:
                     continue
-                current = list(base_perm)
                 sizes = {base_perm: len(manager)}
                 for offset in walk:
                     manager.swap_adjacent_levels(start + offset)
-                    current[offset], current[offset + 1] = \
-                        current[offset + 1], current[offset]
-                    sizes[tuple(current)] = len(manager)
+                    sizes[manager.order[start:start + window]] = len(manager)
                 # min() keeps the first smallest, so base_perm wins ties.
                 best = min((base_perm, *itertools.permutations(sorted(base_perm))),
                            key=sizes.__getitem__)

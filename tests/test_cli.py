@@ -484,6 +484,17 @@ def test_node_limit_flag(capsys):
         assert "error: argument --node-limit" in err
 
 
+def test_compare_under_a_node_limit_every_search_fits(capsys):
+    """Every search on hwb12 fits in 450 nodes; the check after each one
+    rebuilds in its own scratch copy, which the limit does not bound."""
+    hwb12 = str(DATA / "hwb12.tt")
+    unlimited = run(capsys, "compare", hwb12, "--format", "csv")
+    assert unlimited == (0, "circuit,method,size,millis\nhwb12,info,259,\n"
+                         "hwb12,sift,153,\nhwb12,window,238,\nhwb12,none,238,\n", "")
+    assert run(capsys, "compare", hwb12, "--node-limit", "600",
+               "--format", "csv") == unlimited
+
+
 def test_machine_output_determinism(tmp_path, capsys):
     vector = tmp_path / "v.txt"
     vector.write_text("0110100110010110")

@@ -404,6 +404,14 @@ def test_malformed_blif_raises_netlist_errors(text):
         parse_blif(text)
 
 
+# (text, line of the .i or .o that follows a cube row)
+_HEADER_AFTER_CUBE = [
+    (".i 1\n.o 1\n1 1\n.o 2\n", 4),
+    (".i 2\n.o 1\n11 1\n.i 1\n0 1\n", 4),
+    (".o 2\n.i 3\n.o 2\n11- 11\n.o 3\n", 5),
+]
+
+
 @pytest.mark.parametrize("text", [
     ".i x\n.o 1\n00 1\n",                # non-integer header
     ".i\n.o 1\n",                        # missing count
@@ -416,11 +424,19 @@ def test_malformed_blif_raises_netlist_errors(text):
     ".i 1\n.o 1\n.ob f g\n1 1\n",        # .ob names too many outputs
     ".i 2\n.o 1\n11 1\n.e\n00 1\n",      # cube after the end marker
     ".i 2\n.o 1\n11 1\n.end\n00 1\n",    # cube after the end marker
+    *(text for text, _ in _HEADER_AFTER_CUBE),
 ])
 def test_malformed_pla_raises_netlist_errors(text):
     from bddinfo import NetlistError
     with pytest.raises(NetlistError):
         parse_pla(text)
+
+
+@pytest.mark.parametrize("text, line", _HEADER_AFTER_CUBE)
+def test_pla_header_after_a_cube_row_is_refused_at_its_line(text, line):
+    with pytest.raises(ParseError) as refused:
+        parse_pla(text)
+    assert refused.value.line == line
 
 
 def test_parser_fuzz_only_raises_netlist_errors(rng):
@@ -436,6 +452,40 @@ def test_parser_fuzz_only_raises_netlist_errors(rng):
                 parser(text)
             except NetlistError:
                 pass
+
+
+@st.composite
+def _pla_texts(draw):
+    """Header lines (.i, .o, .ilb, .ob) and cube rows; each row and name
+    list fits the counts declared last, so texts get past the rows and a
+    later header can change a count."""
+    counts = {".i": draw(st.integers(0, 2)), ".o": draw(st.integers(0, 2))}
+    lines = draw(st.permutations([f"{h} {c}" for h, c in counts.items()]))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["header", "header", "cube", "cube", "names"]))
+        head = draw(st.sampled_from([".i", ".o"]))
+        if kind == "header":
+            counts[head] = draw(st.integers(0, 3))
+            lines.append(f"{head} {counts[head]}")
+        elif kind == "cube":
+            lines.append(" ".join(
+                draw(st.text(alphabet, min_size=counts[h], max_size=counts[h]))
+                for h, alphabet in ((".i", "01-"), (".o", "01~"))))
+        else:
+            names = [f"{head[1]}{k}" for k in range(counts[head])]
+            lines.append(" ".join([".ilb" if head == ".i" else ".ob", *names]))
+    return "\n".join(lines)
+
+
+@given(_pla_texts())
+@settings(max_examples=300, deadline=None)
+def test_pla_texts_give_a_netlist_or_a_netlist_error(text):
+    from bddinfo import Netlist, NetlistError
+    try:
+        netlist = parse_pla(text)
+    except NetlistError:
+        return
+    assert isinstance(netlist, Netlist)
 
 
 def _sum_of_products(manager, gate, signal):

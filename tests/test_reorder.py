@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -659,6 +660,43 @@ def test_a_reorder_that_fits_the_node_limit_passes_its_check():
     m.node_limit = 3 * len(m)
     trace = info_reorder(m)
     assert trace.final_size == len(m) == 65
+    assert_manager_consistent(m)
+
+
+@pytest.mark.parametrize("method, seed", [
+    (info_reorder, 2), (info_reorder, 6), (info_reorder, 7),
+    (sift, 6), (sift, 7), (sift, 22)])
+def test_a_search_that_fits_the_node_limit_is_not_failed_by_its_check(
+        monkeypatch, method, seed):
+    """The clone-path check rebuilds the final roots in a scratch copy
+    that has no ``node_limit``, so a run whose search fits the limit
+    ends with the unlimited trace.  The limit is twice the unlimited
+    search's peak plus twice its widest level, the swap guard's margin.
+    On each seeded 11- to 13-input case the rebuild passes that limit,
+    so a check bounded by it would raise NodeLimitError."""
+    def case():
+        rng = random.Random(seed)
+        n = rng.randint(11, 13)
+        return _random_roots(rng, n, rng.randint(1, 3))
+
+    swap = BddManager.swap_adjacent_levels
+    peak = widest = 0
+
+    def recording(self, level):
+        nonlocal peak, widest
+        widest = max(widest, *map(len, self._unique))
+        peak = max(peak, len(self))
+        swap(self, level)
+        peak = max(peak, len(self))
+
+    monkeypatch.setattr(BddManager, "swap_adjacent_levels", recording)
+    unlimited = method(case())
+    monkeypatch.undo()
+    m = case()
+    m.node_limit = 2 * peak + 2 * widest
+    trace = method(m)
+    assert dataclasses.replace(trace, elapsed=0.0) == \
+        dataclasses.replace(unlimited, elapsed=0.0)
     assert_manager_consistent(m)
 
 
