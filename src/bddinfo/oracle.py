@@ -1,9 +1,9 @@
 """Brute-force ground truth, independent of the BDD code paths.
 
 Functions here work on flat truth tables stored as integer bitmasks.
-``enumerate_bdd`` is the one bridge from a diagram: it composes each
-node's table from its children's and reads only the node triples, so
-it never runs the if-then-else kernel, a swap or a measure.
+``enumerate_bdd`` is the one bridge from a diagram: it hands assignment
+masks down from the root to ONE and reads only the node triples, so it
+never runs the if-then-else kernel, a swap or a measure.
 Probabilities are integers over a power of two, counts of assignments or
 sums of weights, that become floats only where they leave the oracle: as
 entropies, or as counts over a power of two that a float holds exactly.
@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .manager import (ONE, ZERO, BddManager, _MAX_VECTOR, _entries, _index,
+from .manager import (ONE, BddManager, _MAX_VECTOR, _entries, _index,
                       _permutation, _truth_vector)
 from .measures import MeasureReport, VarProbabilities, _check_weights
 
@@ -94,54 +94,50 @@ def _var_mask(n: int, var: int, value: int) -> int:
 
 
 def enumerate_bdd(manager: BddManager, root: int) -> TruthTable:
-    """The root's complete truth table, in one bottom-up pass.
+    """The root's complete truth table, in one top-down pass.
 
-    Shannon composition (Bryant, 1986): a node's table is its low
-    child's table with the high child's bits wherever the node's
-    variable is 1.  Each node of the root's graph is visited once,
-    after its children, in an order taken from the node triples alone,
-    not from the manager's levels.  A table is dropped once its last
-    reader (a parent in the root's graph) has read it, so memory
-    follows the widest cut of the diagram, not its node count.
-    Refuses more than MAX_ENUM_VARS variables.
+    The root holds every assignment, and each node hands those where its
+    variable is 1 to its high child and the rest to its low child; the
+    table is what reaches ONE (Shannon expansion, Bryant 1986).  A node
+    passes its mask on, and drops it, once every parent in the root's
+    graph has handed it theirs, so memory follows the widest cut of the
+    diagram, not its node count.  Only the node triples are read, not
+    the manager's levels.  Refuses more than MAX_ENUM_VARS variables.
     """
     n = manager.n
     if n > MAX_ENUM_VARS:
         raise OracleLimitError(f"refusing to enumerate {n} variables")
     manager._check(root)
     nodes = manager._node
-    tables = {ZERO: 0, ONE: (1 << (1 << n)) - 1}
-    if root in tables:
-        return TruthTable(n, tables[root])
-    readers = {root: 1}           # the caller reads the root once
+    full = (1 << (1 << n)) - 1
+    if root not in nodes:
+        return TruthTable(n, full if root == ONE else 0)
+    parents: dict[int, int] = {}
     stack = [root]
     while stack:
         for child in nodes[stack.pop()][1:]:
-            if child in readers:
-                readers[child] += 1
+            if child in parents:
+                parents[child] += 1
             elif child in nodes:
-                readers[child] = 1
+                parents[child] = 1
                 stack.append(child)
-    # Top down, a node is placed once all its readers are; reversed,
-    # every node comes after its children.
-    order = [root]
-    unplaced = dict(readers)
-    for u in order:
-        for child in nodes[u][1:]:
-            if child in unplaced:
-                unplaced[child] -= 1
-                if not unplaced[child]:
-                    order.append(child)
-    for u in reversed(order):
+    masks = {root: full}
+    ready = [root]                # every parent has handed its mask down
+    table = 0
+    while ready:
+        u = ready.pop()
         var, lo, hi = nodes[u]
-        low = tables[lo]
-        tables[u] = low ^ ((low ^ tables[hi]) & _var_mask(n, var, 1))
-        for child in (lo, hi):
-            if child in readers:
-                readers[child] -= 1
-                if not readers[child]:
-                    del tables[child]
-    return TruthTable(n, tables[root])
+        mask = masks.pop(u)
+        high = mask & _var_mask(n, var, 1)
+        for child, part in ((lo, mask ^ high), (hi, high)):
+            if child == ONE:
+                table |= part
+            elif child in nodes:
+                masks[child] = masks.get(child, 0) | part
+                parents[child] -= 1
+                if not parents[child]:
+                    ready.append(child)
+    return TruthTable(n, table)
 
 
 def joint_probability(tt: TruthTable, var: int, value: int) -> float:

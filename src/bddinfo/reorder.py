@@ -69,7 +69,10 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     themselves, in a ``clone()`` taken on entry, against the final roots
     rebuilt inside it.  The clone keeps the initial order and is the
     check's own scratch copy with no ``node_limit``, so the check builds
-    nothing in ``manager`` and fails only on a changed function.
+    nothing in ``manager`` and fails only on a changed function.  A
+    NodeLimitError from a swap in ``search`` is not rolled back: the
+    manager stays consistent and every root's function unchanged, but in
+    the order the search had reached, and no trace is returned.
     """
     t0 = time.perf_counter()
     roots = list(manager.registered_roots if roots is None

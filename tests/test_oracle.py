@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bddinfo import (
     ONE, ZERO, BddManager, TruthTable, VarProbabilities, WeightError,
     bdd_size_for_order, best_order_exhaustive, enumerate_bdd, exact_measures,
+    sift,
 )
 from bddinfo.oracle import (
     MAX_ENUM_VARS, OracleLimitError, _var_mask, conditional_probability, joint_probability,
@@ -74,9 +75,11 @@ def _assignment(n, i):
 
 
 def test_enumerate_matches_evaluation_at_every_assignment(rng):
-    """The composed table against a walk from the root per assignment:
-    seeded managers over shuffled orders, with roots that share nodes,
-    an XOR of two roots and both terminals."""
+    """The table against a walk from the root per assignment: seeded
+    managers over shuffled orders, with roots that share nodes, an XOR
+    of two roots and both terminals, once as built and once after
+    ``sift``, whose rewritten nodes keep their handles while their
+    children can be newer, so handle order is not children-first."""
     for trial in range(60):
         n = trial % 10
         order = list(range(n))
@@ -84,11 +87,15 @@ def test_enumerate_matches_evaluation_at_every_assignment(rng):
         m = BddManager(n, order=order)
         f, g = (m.build_from_truth_vector(random_function(rng, n)) for _ in range(2))
         shared = m.apply("and", f, g)
-        for root in (f, g, shared, m.apply("xor", f, g), ZERO, ONE):
-            tt = enumerate_bdd(m, root)
-            assert tt.n == n
-            assert [tt.value(i) for i in range(1 << n)] == \
-                [m.evaluate(root, _assignment(n, i)) for i in range(1 << n)]
+        roots = [f, g, shared, m.apply("xor", f, g)]
+        for sifted in (False, True):
+            if sifted:
+                sift(m, roots)
+            for root in roots + [ZERO, ONE]:
+                tt = enumerate_bdd(m, root)
+                assert tt.n == n
+                assert [tt.value(i) for i in range(1 << n)] == \
+                    [m.evaluate(root, _assignment(n, i)) for i in range(1 << n)]
 
 
 def test_var_mask_matches_a_per_index_reference():
@@ -121,6 +128,26 @@ def test_wide_tabulation_keeps_only_the_cut(rng):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024    # 16 tables of 2**20 bits
+
+
+def test_enumerate_memory_follows_the_cut():
+    """The 22-variable parity chain (43 nodes) has two nodes per level,
+    so a call after the first (which fills the mask cache) holds a few
+    tables of 2**22 bits at once, not one per node."""
+    n = 22
+    m = BddManager(n)
+    root = m.literal(0)
+    for v in range(1, n):
+        root = m.apply("xor", root, m.literal(v))
+    assert len(m._reachable([root])) == 2 * n - 1
+    tt = enumerate_bdd(m, root)
+    tracemalloc.start()
+    try:
+        assert enumerate_bdd(m, root) == tt
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * (1 << n) // 8
 
 
 def test_exact_measures_example1():
