@@ -567,12 +567,26 @@ class BddManager:
         function in both managers (level swaps keep it so), and each
         manager mints its own handles afterwards, so a handle made in
         one after the copy is refused by the other."""
-        m = BddManager(self.n, order=self.order, node_limit=self.node_limit)
-        m._refs = self._refs[:]
-        m._node = dict(self._node)
-        m._unique = [dict(table) for table in self._unique]
-        m._roots = list(self._roots)
+        m = BddManager(self.n, node_limit=self.node_limit)
+        m._restore(self._snapshot())
         return m
+
+    def _snapshot(self) -> tuple:
+        """Copies of the node store, unique tables, counts, both order
+        arrays and roots, for one ``_restore``."""
+        return (dict(self._node), [dict(table) for table in self._unique],
+                self._refs[:], self._level_var[:], self._var_level[:],
+                self._roots[:])
+
+    def _restore(self, state: tuple) -> None:
+        """Install a ``_snapshot`` in one assignment, as ``collect_garbage``
+        installs its store, after clearing the op cache.  The counts are
+        padded with zeros, so every slot minted since the snapshot stays
+        retired and its handle refused; ``_swaps`` keeps counting."""
+        self._cache.clear()
+        state[2].extend([0] * (len(self._refs) - len(state[2])))
+        (self._node, self._unique, self._refs, self._level_var,
+         self._var_level, self._roots) = state
 
     # -- internal helpers ---------------------------------------------------
 

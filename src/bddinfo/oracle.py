@@ -133,7 +133,8 @@ def enumerate_bdd(manager: BddManager, root: int) -> TruthTable:
             if child == ONE:
                 table |= part
             elif child in nodes:
-                masks[child] = masks.get(child, 0) | part
+                held = masks.get(child)
+                masks[child] = part if held is None else held | part
                 parents[child] -= 1
                 if not parents[child]:
                     ready.append(child)

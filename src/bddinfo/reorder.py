@@ -7,7 +7,8 @@ returns a ReorderTrace.  The driver sweeps garbage once on entry;
 swaps then retire every node they orphan, so every size is
 ``len(manager)``: the shared node count of all registered roots.  Each
 call ends with a mandatory check that every registered root still
-computes the function snapshotted on entry.
+computes the function imaged on entry; a call that raises changes
+nothing.
 """
 
 from __future__ import annotations
@@ -60,56 +61,59 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
          search: Callable[[list[int]], Iterator[TraceStep]]) -> ReorderTrace:
     """The plumbing every reorderer shares around its ``search``.
 
-    Explicit ``roots`` are all checked, then registered, then garbage is
-    swept once.  ``search`` is called with the explicit roots (default:
-    the registered ones), and the trace is built from its steps.  The
-    check takes one image of every registered root on entry and compares
-    it once on exit, raising BddError if a function changed: truth
-    tables up to _EXHAUSTIVE_CHECK_VARS variables; above that the roots
-    themselves, in a ``clone()`` taken on entry, against the final roots
-    rebuilt inside it.  The clone keeps the initial order and is the
-    check's own scratch copy with no ``node_limit``, so the check builds
-    nothing in ``manager`` and fails only on a changed function.  A
-    NodeLimitError from a swap in ``search`` is not rolled back: the
-    manager stays consistent and every root's function unchanged, but in
-    the order the search had reached, and no trace is returned.
+    One snapshot of the manager is taken on entry.  Explicit ``roots``
+    are registered (each once), then garbage is swept once.  ``search``
+    is called with the explicit roots (default: the registered ones),
+    and the trace is built from its steps.  The check takes one image of
+    every registered root on entry and compares it once on exit, raising
+    BddError if a function changed: truth tables up to
+    _EXHAUSTIVE_CHECK_VARS variables; above that the roots themselves,
+    in a ``clone()`` taken on entry, against the final roots rebuilt
+    inside it.  The clone keeps the initial order and is the check's own
+    scratch copy with no ``node_limit``, so the check builds nothing in
+    ``manager`` and fails only on a changed function.  Any exception,
+    from a refused root to an interrupt, restores the snapshot before it
+    propagates: a reorder returns a checked trace or changes nothing.
     """
     t0 = time.perf_counter()
     roots = list(manager.registered_roots if roots is None
                  else _entries(roots, UsageError, "roots"))
-    for r in roots:
-        manager._check(r)
-    registered = set(manager.registered_roots)
-    for r in roots:
-        if r not in registered:
-            manager.register_root(r)
-            registered.add(r)
-    manager.collect_garbage()
-    kept = list(manager.registered_roots)
-    if manager.n <= _EXHAUSTIVE_CHECK_VARS:
-        def image() -> list:
-            return [oracle.enumerate_bdd(manager, r).bits for r in kept]
-        entry = image()
-    else:
-        # Both managers are canonical and share every handle live at the
-        # copy, and the copy mints new handles from its own range, so
-        # the rebuild returns r exactly when r's function is unchanged.
-        scratch = manager.clone()
-        scratch.node_limit = None
+    state = manager._snapshot()
+    try:
+        registered = set(manager.registered_roots)
+        for r in roots:
+            manager._check(r)           # before hashing: a list is no handle
+            if r not in registered:
+                registered.add(manager.register_root(r))
+        manager.collect_garbage()
+        kept = list(manager.registered_roots)
+        if manager.n <= _EXHAUSTIVE_CHECK_VARS:
+            def image() -> list:
+                return [oracle.enumerate_bdd(manager, r).bits for r in kept]
+            entry = image()
+        else:
+            # Both managers are canonical and share every handle live at
+            # the copy, which mints from its own range, so the rebuild
+            # returns r exactly when r's function is unchanged.
+            scratch = manager.clone()
+            scratch.node_limit = None
 
-        def image() -> list:
-            memo: dict[int, int] = {}
-            return [copy_function(manager, r, scratch, memo) for r in kept]
-        entry = kept
-    order, size, swaps = list(manager.order), len(manager), manager._swaps
-    steps = list(search(roots))
-    if image() != entry:
-        raise BddError("reordering changed a root's function")
-    return ReorderTrace(method=method, initial_order=order,
-                        final_order=list(manager.order), initial_size=size,
-                        final_size=len(manager), steps=steps,
-                        elapsed=time.perf_counter() - t0,
-                        swaps=manager._swaps - swaps)
+            def image() -> list:
+                memo: dict[int, int] = {}
+                return [copy_function(manager, r, scratch, memo) for r in kept]
+            entry = kept
+        order, size, swaps = list(manager.order), len(manager), manager._swaps
+        steps = list(search(roots))
+        if image() != entry:
+            raise BddError("reordering changed a root's function")
+        return ReorderTrace(method=method, initial_order=order,
+                            final_order=list(manager.order), initial_size=size,
+                            final_size=len(manager), steps=steps,
+                            elapsed=time.perf_counter() - t0,
+                            swaps=manager._swaps - swaps)
+    except BaseException:
+        manager._restore(state)
+        raise
 
 
 def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,

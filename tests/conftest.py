@@ -1,5 +1,6 @@
 import pathlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -67,3 +68,34 @@ def assert_manager_consistent(m: BddManager) -> None:
             assert refs[slot] == 0, slot
     for u in [0, 1, *nodes]:
         assert refs[u & _SLOT] == counts[u], u
+
+
+class Interrupt(BaseException):
+    """Raised by ``interrupt_at``'s trace function; nothing catches it."""
+
+
+def interrupt_at(k, codes, operation):
+    """Call ``operation()`` under a trace function that raises Interrupt
+    once, at the k-th line event (counting from 1) of any frame running
+    one of ``codes``.  Returns ``(result, lines)``: the call's result,
+    or None when it was interrupted, and the line events counted."""
+    lines = 0
+
+    def in_code(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines == k:
+                raise Interrupt
+        return in_code
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 in_code if frame.f_code in codes else None)
+    try:
+        result = operation()
+    except Interrupt:
+        result = None
+    finally:
+        sys.settrace(outer)
+    return result, lines

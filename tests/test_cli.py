@@ -495,6 +495,15 @@ def test_compare_under_a_node_limit_every_search_fits(capsys):
                "--format", "csv") == unlimited
 
 
+@pytest.mark.parametrize("method", ["info", "sift", "window"])
+def test_a_reorder_refused_under_a_node_limit_prints_only_the_error(
+        capsys, method):
+    """hwb12 loads in 238 nodes, under the limit, but no search fits it."""
+    assert run(capsys, "reorder", str(DATA / "hwb12.tt"), "--method", method,
+               "--node-limit", "250") == \
+        (1, "", "error: node limit 250 could be passed by a level swap\n")
+
+
 def test_machine_output_determinism(tmp_path, capsys):
     vector = tmp_path / "v.txt"
     vector.write_text("0110100110010110")

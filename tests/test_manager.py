@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -17,7 +16,9 @@ from bddinfo import (
 )
 from bddinfo.manager import _OPS, _SLOT
 
-from conftest import EXAMPLE1_VECTOR, assert_manager_consistent, random_function
+from conftest import (
+    EXAMPLE1_VECTOR, assert_manager_consistent, interrupt_at, random_function,
+)
 
 
 def test_terminals_distinct():
@@ -660,10 +661,6 @@ def test_sweep_matches_retiring_one_node_at_a_time(rng):
         assert m._node == nodes
 
 
-class _Interrupt(BaseException):
-    """Raised by a trace function inside the sweep; nothing catches it."""
-
-
 def _graphs(m, roots):
     """Each root's reachable nodes with their keys.  Handles are
     canonical, so equal keys under equal handles are equal functions."""
@@ -688,27 +685,9 @@ def test_collect_garbage_is_interrupt_safe():
         graphs = _graphs(base, roots)
         dead = len(base) - base.count_nodes(roots)
         assert dead > 0
-        for k in itertools.count():
+        for k in itertools.count(1):
             m = base.clone()
-            lines = 0
-
-            def in_sweep(frame, event, arg):
-                nonlocal lines
-                if event == "line":
-                    lines += 1
-                    if lines > k:
-                        raise _Interrupt
-                return in_sweep
-
-            outer = sys.gettrace()
-            sys.settrace(lambda frame, event, arg:
-                         in_sweep if frame.f_code is code else None)
-            try:
-                retired = m.collect_garbage()
-            except _Interrupt:
-                retired = None
-            finally:
-                sys.settrace(outer)
+            retired, _ = interrupt_at(k, (code,), m.collect_garbage)
             assert_manager_consistent(m)
             assert _graphs(m, roots) == graphs
             if retired is None:
@@ -747,25 +726,7 @@ def test_minting_is_interrupt_safe():
         want = enumerate_bdd(fresh, operation(fresh)).bits
         for k in itertools.count(1):
             m = base.clone()
-            lines = 0
-
-            def in_kernel(frame, event, arg):
-                nonlocal lines
-                if event == "line":
-                    lines += 1
-                    if lines == k:
-                        raise _Interrupt
-                return in_kernel
-
-            outer = sys.gettrace()
-            sys.settrace(lambda frame, event, arg:
-                         in_kernel if frame.f_code is code else None)
-            try:
-                result = operation(m)
-            except _Interrupt:
-                result = None
-            finally:
-                sys.settrace(outer)
+            result, lines = interrupt_at(k, (code,), lambda: operation(m))
             assert_manager_consistent(m)
             assert _graphs(m, roots) == graphs
             if result is None:

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    ONE, ZERO, BddError, BddManager, NodeLimitError, TruthTable,
-    VarProbabilities, best_order_exhaustive, conditional_entropy_set,
-    conditional_entropy_var, enumerate_bdd, exact_measures, info_reorder,
-    measure_report, sift, weighted_sat_probability, window_permute,
+    ONE, XOR, ZERO, BddError, BddManager, ManagerMismatchError,
+    NodeLimitError, TruthTable, VarProbabilities, best_order_exhaustive,
+    conditional_entropy_set, conditional_entropy_var, enumerate_bdd,
+    exact_measures, info_reorder, measure_report, sift,
+    weighted_sat_probability, window_permute,
 )
 from bddinfo import measures, oracle
 from bddinfo.cli import load_circuit
@@ -19,7 +20,8 @@ from bddinfo.measures import _conditioned
 from bddinfo.reorder import TraceStep, _plain_changes, _run
 
 from conftest import (
-    DATA, EXAMPLE1_VECTOR, assert_manager_consistent, random_function,
+    DATA, EXAMPLE1_VECTOR, assert_manager_consistent, interrupt_at,
+    random_function,
 )
 
 
@@ -717,6 +719,81 @@ def test_sift_under_node_limit_leaves_manager_intact():
     assert [enumerate_bdd(m, r).bits for r in roots] == tables
     assert trace.final_size == m.shared_size()
     assert_manager_consistent(m)
+
+
+def _state(m, slots):
+    """What a failed reorder must leave as it found it: the node store in
+    handle order, the order, the roots and the first ``slots`` counts."""
+    return list(m._node.items()), m.order, m.registered_roots, m._refs[:slots]
+
+
+@pytest.mark.parametrize("method, size", [
+    (sift, 153), (info_reorder, 259), (window_permute, 238)])
+def test_a_search_that_passes_the_node_limit_leaves_the_manager_as_it_was(
+        monkeypatch, method, size):
+    """On hwb12 (238 nodes) every search passes a node limit of 400
+    after it has moved the order and grown the manager.  Its
+    NodeLimitError restores the entry snapshot: the node store, order,
+    roots and counts are those of the entry.  An unlimited run then
+    gives the size a fresh load does, and every handle the failed
+    search's swaps minted is still refused, not reused by that run."""
+    m = load_circuit(str(DATA / "hwb12.tt")).manager
+    entry = _state(m, len(m._refs))
+    minted = []
+    swap = BddManager.swap_adjacent_levels
+
+    def recording(self, level):
+        before = set(self._node)
+        swap(self, level)
+        minted.extend(set(self._node) - before)
+
+    monkeypatch.setattr(BddManager, "swap_adjacent_levels", recording)
+    m.node_limit = 400
+    with pytest.raises(NodeLimitError):
+        method(m)
+    assert minted
+    assert _state(m, len(entry[3])) == entry
+    assert_manager_consistent(m)
+    monkeypatch.undo()
+    m.node_limit = None
+    assert method(m).final_size == size
+    for handle in minted:
+        with pytest.raises(ManagerMismatchError):
+            m.node(handle)
+
+
+@pytest.mark.parametrize("method, n", [
+    (info_reorder, 4), (sift, 3), (window_permute, 3)])
+def test_an_interrupted_reorder_leaves_the_manager_as_it_was(method, n):
+    """An exception raised at any line of ``_run`` or of a level swap,
+    from the root registration through the search to the trace, leaves
+    the manager as it was on entry, and a rerun then gives the trace of
+    an uninterrupted run.  A seeded manager, in a random order, holds a
+    registered root, a second root passed in ``roots`` only, and
+    garbage; a trace function raises once, at the k-th line event of
+    those frames, for every k until the call runs to the end."""
+    rng = random.Random(0)
+    base = BddManager(n, order=rng.sample(range(n), n))
+    first = base.register_root(base.build_from_truth_vector(
+        random_function(rng, n)))
+    extra = base.build_from_truth_vector(random_function(rng, n))
+    base.apply(XOR, first, extra)
+    codes = (_run.__code__, BddManager.swap_adjacent_levels.__code__)
+    want = dataclasses.replace(method(base.clone(), [extra]), elapsed=0.0)
+    points = 0
+    for k in itertools.count(1):
+        m = base.clone()
+        entry = _state(m, len(m._refs))
+        trace, lines = interrupt_at(k, codes, lambda: method(m, [extra]))
+        if trace is None:
+            points += 1
+            assert _state(m, len(entry[3])) == entry
+            assert_manager_consistent(m)
+            trace = method(m, [extra])
+        assert dataclasses.replace(trace, elapsed=0.0) == want
+        if lines < k:
+            break
+    assert points > 100
 
 
 def test_window_validation(example1):
