@@ -7,24 +7,30 @@ returns a ReorderTrace.  The driver sweeps garbage once on entry;
 swaps then retire every node they orphan, so every size is
 ``len(manager)``: the shared node count of all registered roots.  Each
 call ends with a mandatory check that every registered root still
-computes the function imaged on entry; a call that raises changes
-nothing.
+computes the function imaged on entry: its truth table up to
+_EXHAUSTIVE_CHECK_VARS variables, its ``_signature`` above that.  Both
+images read node triples only and build no node.  A call that raises
+changes nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 # perfbench/tracer.py wraps copy_function and conditional_entropy_var here.
-from .manager import BddManager, BddError, UsageError, _entries, copy_function
+from .manager import (ONE, ZERO, BddManager, BddError, UsageError, _entries,
+                      copy_function)
 from .measures import VarProbabilities, _check_weights, conditional_entropy_var
 from . import measures, oracle
 
 _TIE_TOL = 1e-12
 _EXHAUSTIVE_CHECK_VARS = 10
+_PRIME = (1 << 61) - 1          # the signature's field: a Mersenne prime
+_SEED = 0x5EED                  # and the seed of its one random point
 
 
 @dataclass
@@ -65,14 +71,14 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     are registered (each once), then garbage is swept once.  ``search``
     is called with the explicit roots (default: the registered ones),
     and the trace is built from its steps.  The check takes one image of
-    every registered root on entry and compares it once on exit, raising
-    BddError if a function changed: truth tables up to
-    _EXHAUSTIVE_CHECK_VARS variables; above that the roots themselves,
-    in a ``clone()`` taken on entry, against the final roots rebuilt
-    inside it.  The clone keeps the initial order and is the check's own
-    scratch copy with no ``node_limit``, so the check builds nothing in
-    ``manager`` and fails only on a changed function.  Any exception,
-    from a refused root to an interrupt, restores the snapshot before it
+    every registered root after the sweep and compares it once on exit,
+    raising BddError if a function changed: truth tables up to
+    _EXHAUSTIVE_CHECK_VARS variables, which is exact; above that each
+    root's ``_signature``, which two different functions share with
+    probability at most n / (2**61 - 1).  Neither image builds a node,
+    so the check spends no ``node_limit`` and copies nothing: the
+    snapshot is the one copy a reorder takes.  Any exception, from a
+    refused root to an interrupt, restores the snapshot before it
     propagates: a reorder returns a checked trace or changes nothing.
     """
     t0 = time.perf_counter()
@@ -87,24 +93,11 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
                 registered.add(manager.register_root(r))
         manager.collect_garbage()
         kept = list(manager.registered_roots)
-        if manager.n <= _EXHAUSTIVE_CHECK_VARS:
-            def image() -> list:
-                return [oracle.enumerate_bdd(manager, r).bits for r in kept]
-            entry = image()
-        else:
-            # Both managers are canonical and share every handle live at
-            # the copy, which mints from its own range, so the rebuild
-            # returns r exactly when r's function is unchanged.
-            scratch = manager.clone()
-            scratch.node_limit = None
-
-            def image() -> list:
-                memo: dict[int, int] = {}
-                return [copy_function(manager, r, scratch, memo) for r in kept]
-            entry = kept
+        image = _tables if manager.n <= _EXHAUSTIVE_CHECK_VARS else _signature
+        entry = image(manager, kept)
         order, size, swaps = list(manager.order), len(manager), manager._swaps
         steps = list(search(roots))
-        if image() != entry:
+        if image(manager, kept) != entry:
             raise BddError("reordering changed a root's function")
         return ReorderTrace(method=method, initial_order=order,
                             final_order=list(manager.order), initial_size=size,
@@ -114,6 +107,35 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     except BaseException:
         manager._restore(state)
         raise
+
+
+def _tables(manager: BddManager, roots: list[int]) -> list[int]:
+    """Each root's truth table, as the bits of ``oracle.enumerate_bdd``."""
+    return [oracle.enumerate_bdd(manager, r).bits for r in roots]
+
+
+def _signature(manager: BddManager, roots: list[int]) -> list[int]:
+    """Each root's multilinear extension at one seeded point, mod _PRIME.
+
+    The paper's weighted recursion over the integers mod p = 2**61 - 1:
+    s(ZERO) = 0, s(ONE) = 1 and s(u) = s(lo) + r_var * (s(hi) - s(lo)),
+    where each variable's r_var is drawn, in variable order, by
+    ``randrange(p)`` from a private ``random.Random(_SEED)``, so runs
+    repeat and the global generator is untouched.  The value depends on
+    the function alone, not on the order or the handles, and for a
+    random point two different functions of n variables share it with
+    probability at most n / p (Schwartz-Zippel; Jain, Bitner, Fussell
+    & Abraham 1992).  One pass over the unique tables, deepest level
+    first, reads only node triples and builds nothing; the tables must
+    hold every node below the roots, as they do after a sweep.
+    """
+    rng = random.Random(_SEED)
+    point = [rng.randrange(_PRIME) for _ in range(manager.n)]
+    sig = {ZERO: 0, ONE: 1}
+    for var in reversed(manager._level_var):
+        for (_, lo, hi), u in manager._unique[var].items():
+            sig[u] = (sig[lo] + point[var] * (sig[hi] - sig[lo])) % _PRIME
+    return [sig[root] for root in roots]
 
 
 def info_reorder(manager: BddManager, roots: Iterable[int] | None = None,
@@ -187,8 +209,7 @@ def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrac
     def search(roots: list[int]) -> Iterator[TraceStep]:
         n = manager.n
         unique = manager._unique
-        population = [len(table) for table in unique]
-        priority = sorted(range(n), key=lambda var: (-population[var], var))
+        priority = sorted(range(n), key=lambda var: (-len(unique[var]), var))
         for var in priority:
             pos = manager.level_of_var(var)
             best_size = len(manager)
@@ -280,12 +301,8 @@ def _plain_changes(k: int) -> list[int]:
     inner = _plain_changes(k - 1)
     walk: list[int] = []
     for sweep in range(len(inner) + 1):
-        if sweep % 2 == 0:
-            walk.extend(range(k - 2, -1, -1))   # the last item ends at 0
-            shift = 1
-        else:
-            walk.extend(range(k - 1))           # the last item ends at k-1
-            shift = 0
+        shift = 1 - sweep % 2       # 1: the last item ends at 0; 0: at k-1
+        walk.extend(range(k - 2, -1, -1) if shift else range(k - 1))
         if sweep < len(inner):
             walk.append(inner[sweep] + shift)
     return walk

@@ -1,8 +1,11 @@
 """One traced pass of each of the benchmark's workloads.
 
-``perfbench/tracer.py`` wraps ``reorder.copy_function`` (and other
-library names) by attribute name, so a rename or a changed call in the
-reorder check would break the benchmark without failing a library test.
+``perfbench/tracer.py`` wraps library names by attribute name,
+``reorder.copy_function`` and ``reorder.conditional_entropy_var``
+among them, so a rename or a dropped import would break the benchmark
+without failing a library test.  The reorder check itself calls
+neither ``copy_function`` nor ``clone``: ``reorder.py`` keeps the import
+for the tracer alone.
 Each pass also runs the benchmark's own checks: the oracle and
 joint-profile comparisons of ``measures``, and the permutation, size and
 sampled-evaluation checks of the reorder workloads.

@@ -14,10 +14,10 @@ from bddinfo import (
     exact_measures, info_reorder, measure_report, sift,
     weighted_sat_probability, window_permute,
 )
-from bddinfo import measures, oracle
+from bddinfo import measures, oracle, reorder
 from bddinfo.cli import load_circuit
 from bddinfo.measures import _conditioned
-from bddinfo.reorder import TraceStep, _plain_changes, _run
+from bddinfo.reorder import TraceStep, _plain_changes, _run, _signature
 
 from conftest import (
     DATA, EXAMPLE1_VECTOR, assert_manager_consistent, interrupt_at,
@@ -629,7 +629,8 @@ def test_plain_changes_visit_every_arrangement(k):
 @pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
 def test_sizes_count_every_registered_root(rng, method):
     """Sizes are shared counts, and the final check leaves no garbage
-    behind, on the truth-table path (n = 5) and the clone path (n = 12)."""
+    behind, on the truth-table path (n = 5) and the signature path
+    (n = 12)."""
     for n in (5, 12):
         m = BddManager(n)
         m.register_root(m.build_from_truth_vector(random_function(rng, n)))
@@ -641,8 +642,8 @@ def test_sizes_count_every_registered_root(rng, method):
 
 
 def test_a_reorder_that_fits_the_node_limit_passes_its_check():
-    """The clone-path check builds in the snapshot, not in the caller's
-    manager, so a reorder that fits ``node_limit`` is not failed by it."""
+    """The signature check (n = 16) builds no node, so a reorder that
+    fits ``node_limit`` is not failed by it."""
     k = 8
     m = BddManager(2 * k)       # blocked order: a0..a7, then b0..b7
     carry = None
@@ -670,12 +671,12 @@ def test_a_reorder_that_fits_the_node_limit_passes_its_check():
     (sift, 6), (sift, 7), (sift, 22)])
 def test_a_search_that_fits_the_node_limit_is_not_failed_by_its_check(
         monkeypatch, method, seed):
-    """The clone-path check rebuilds the final roots in a scratch copy
-    that has no ``node_limit``, so a run whose search fits the limit
-    ends with the unlimited trace.  The limit is twice the unlimited
-    search's peak plus twice its widest level, the swap guard's margin.
-    On each seeded 11- to 13-input case the rebuild passes that limit,
-    so a check bounded by it would raise NodeLimitError."""
+    """The signature check builds no node, so a run whose search fits
+    the limit ends with the unlimited trace.  The limit is twice the
+    unlimited search's peak plus twice its widest level, the swap
+    guard's margin.  On each seeded 11- to 13-input case, a check that
+    rebuilt the final roots in a copy bounded by that limit would raise
+    NodeLimitError."""
     def case():
         rng = random.Random(seed)
         n = rng.randint(11, 13)
@@ -796,6 +797,39 @@ def test_an_interrupted_reorder_leaves_the_manager_as_it_was(method, n):
     assert points > 100
 
 
+@pytest.mark.parametrize("method, n", [
+    (info_reorder, 4), (sift, 3), (window_permute, 3)])
+def test_an_interrupted_signature_check_leaves_the_manager_as_it_was(
+        monkeypatch, method, n):
+    """The case above on the signature half of the check: with
+    ``_EXHAUSTIVE_CHECK_VARS`` at 1 these managers take it, and the
+    trace function also raises at every line of ``_signature``."""
+    monkeypatch.setattr(reorder, "_EXHAUSTIVE_CHECK_VARS", 1)
+    rng = random.Random(0)
+    base = BddManager(n, order=rng.sample(range(n), n))
+    first = base.register_root(base.build_from_truth_vector(
+        random_function(rng, n)))
+    extra = base.build_from_truth_vector(random_function(rng, n))
+    base.apply(XOR, first, extra)
+    codes = (_run.__code__, _signature.__code__,
+             BddManager.swap_adjacent_levels.__code__)
+    want = dataclasses.replace(method(base.clone(), [extra]), elapsed=0.0)
+    points = 0
+    for k in itertools.count(1):
+        m = base.clone()
+        entry = _state(m, len(m._refs))
+        trace, lines = interrupt_at(k, codes, lambda: method(m, [extra]))
+        if trace is None:
+            points += 1
+            assert _state(m, len(entry[3])) == entry
+            assert_manager_consistent(m)
+            trace = method(m, [extra])
+        assert dataclasses.replace(trace, elapsed=0.0) == want
+        if lines < k:
+            break
+    assert points > 100
+
+
 def test_window_validation(example1):
     manager, _ = example1
     with pytest.raises(ValueError):
@@ -887,7 +921,7 @@ def test_table_check_calls_the_oracle_per_root_at_entry_and_exit(
 
 
 def test_verification_on_wide_managers(rng):
-    """Above the exhaustive-check width the clone-and-transfer check runs."""
+    """Above the exhaustive-check width the signature check runs."""
     m = BddManager(12)
     f = m.literal(0)
     for v in range(1, 12):
@@ -895,6 +929,69 @@ def test_verification_on_wide_managers(rng):
     m.register_root(f)
     trace = sift(m)
     assert trace.final_size == 2 * 12 - 1   # parity size is order-insensitive
+
+
+def _folded(bits, n, point):
+    """The multilinear extension of a truth table at ``point``, mod
+    ``reorder._PRIME``, by folding the table itself, last variable
+    first: each pair of entries (x = 0, x = 1) becomes v0 + r * (v1 - v0)."""
+    values = [(bits >> i) & 1 for i in range(1 << n)]
+    for var in reversed(range(n)):
+        values = [(v0 + point[var] * (v1 - v0)) % reorder._PRIME
+                  for v0, v1 in zip(values[0::2], values[1::2])]
+    return values[0]
+
+
+def test_signature_is_the_multilinear_extension_of_the_table():
+    """Reference test of the wide check's image on seeded random managers
+    of 1 to 10 variables, in a random order, with 1 to 4 roots, a
+    terminal root and a duplicate root.  Each root's ``_signature`` is
+    its ``oracle.enumerate_bdd`` table folded at the seeded point, two
+    roots share a signature exactly when they share a table, and every
+    signature stays the same after ``set_order`` to a random
+    permutation and after ``sift``."""
+    rng = random.Random(37)
+    for n in range(1, 11):
+        draw = random.Random(reorder._SEED)
+        point = [draw.randrange(reorder._PRIME) for _ in range(n)]
+        for _ in range(3):
+            m = BddManager(n, order=rng.sample(range(n), n))
+            roots = [m.build_from_truth_vector(random_function(rng, n))
+                     for _ in range(rng.randint(1, 4))]
+            roots += [rng.choice([ZERO, ONE]), rng.choice(roots)]
+            for r in roots:
+                m.register_root(r)
+            tables = [enumerate_bdd(m, r).bits for r in roots]
+            signatures = _signature(m, roots)
+            assert signatures == [_folded(t, n, point) for t in tables]
+            for i, j in itertools.combinations(range(len(roots)), 2):
+                assert (signatures[i] == signatures[j]) == (tables[i] == tables[j])
+            m.set_order(rng.sample(range(n), n))
+            assert _signature(m, roots) == signatures
+            sift(m)
+            assert _signature(m, roots) == signatures
+
+
+@pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
+def test_a_reorder_copies_the_manager_once(rng, monkeypatch, method):
+    """The rollback snapshot is the one copy a reorder takes: on a
+    12-variable manager with 3 roots, where the check takes signatures,
+    a call makes one ``_snapshot``, no ``clone`` and no other manager."""
+    m = _random_roots(rng, 12, 3)
+    counts = {}
+
+    def counting(name):
+        real = getattr(BddManager, name)
+
+        def counted(self, *args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(BddManager, name, counted)
+
+    for name in ("_snapshot", "clone", "__init__"):
+        counting(name)
+    method(m)
+    assert counts == {"_snapshot": 1}
 
 
 def _flip_children(m, u):
@@ -913,8 +1010,8 @@ def _flip_children(m, u):
 def test_a_root_corrupted_by_the_last_swap_is_caught(rng, monkeypatch,
                                                      method, n, passed):
     """Negative control of the final check, on the truth-table path
-    (n = 5) and the clone path (n = 12): the last swap of a run corrupts
-    one registered root, passed in ``roots`` or only registered."""
+    (n = 5) and the signature path (n = 12): the last swap of a run
+    corrupts one registered root, passed in ``roots`` or only registered."""
     m = BddManager(n)
     victim = m.register_root(m.build_from_truth_vector(random_function(rng, n)))
     other = m.build_from_truth_vector(random_function(rng, n))
