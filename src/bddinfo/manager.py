@@ -101,6 +101,10 @@ class BddManager:
         self._cache: dict[tuple, int] = {}         # _ite memo
         self._roots: list[int] = []
         self._swaps = 0                            # level swaps made so far
+        # measures._levelled's level orders: (the _swaps they were walked
+        # at, their total length, {roots: order}).  A swap makes them
+        # stale; a sweep or a rollback drops them.
+        self._levels: tuple[int, int, dict] = (0, 0, {})
 
     def __len__(self) -> int:
         """Number of live internal nodes (including unreachable ones)."""
@@ -419,9 +423,11 @@ class BddManager:
         the sweep leaves the manager as it was or swept, never half way.
         The new node dict and unique tables have the survivors' size;
         deleting the dead in place would keep the hash tables of the
-        largest build.  The op cache is cleared either way.
+        largest build.  The op cache and the level orders are cleared
+        either way.
         """
         self._cache.clear()
+        self._levels = (0, 0, {})
         keep = self._reachable(self._roots)
         nodes = self._node
         dead = len(nodes) - len(keep)
@@ -580,10 +586,12 @@ class BddManager:
 
     def _restore(self, state: tuple) -> None:
         """Install a ``_snapshot`` in one assignment, as ``collect_garbage``
-        installs its store, after clearing the op cache.  The counts are
-        padded with zeros, so every slot minted since the snapshot stays
-        retired and its handle refused; ``_swaps`` keeps counting."""
+        installs its store, after clearing the op cache and the level
+        orders.  The counts are padded with zeros, so every slot minted
+        since the snapshot stays retired and its handle refused;
+        ``_swaps`` keeps counting."""
         self._cache.clear()
+        self._levels = (0, 0, {})
         state[2].extend([0] * (len(self._refs) - len(state[2])))
         (self._node, self._unique, self._refs, self._level_var,
          self._var_level, self._roots) = state

@@ -20,34 +20,42 @@ each with the mass the node pushes to it,
 
 Every conditional entropy H(f|S) comes from one kernel,
 ``_conditioned``, which answers a list of queries for a list of roots
-from one walk of their shared graph; every caller makes S a query with
-``_query``.  The variables of S on the top run of levels are branched
-on by pushing each root's path mass down through those levels
-(``_top_down``).  The kernel takes each root's mass as a frontier: the
-masses that the levels above some depth hand to the nodes below it,
-``{root: 1.0}`` at depth 0.  It pushes a copy of each frontier once,
-shallowest query first, each push extending the last.  Entropy-guided
-reordering carries and advances each root's frontier itself, so the
-placed prefix is never pushed again.  One unforced bottom-up pass
-serves every query.  A single variable x below that run is read off
-its slope, and one top-down pass per depth gives D for every frontier
-node there and every variable at once (``_slopes``): a frontier of one
-node, such as a root at depth 0, is carried as one float of mass per
-node, a larger one as a dict of masses per node, one per frontier node.
-Each assignment to k >= 2 other variables of S is one forced pass that
-recomputes only the levels down to the deepest of them, 2^k passes in
-all.  Each call gives every node from its shallowest query depth down,
-and the two terminals, one position in one list of unforced values;
-each such query lists its levels as rows of positions and copies that
-list, so a pass reads and writes list slots, not dict entries.
-``conditional_entropy_set`` asks one query (``conditional_entropy_var``
-through it); ``measure_report`` asks H(f), every H(f|x) and every
-subset in one call, and takes p(f=1) from the same unforced pass;
-entropy-guided reordering asks H(f | placed prefix, x) for every
-candidate x of a level in one call over the frontiers of all roots.
+from one level order of their shared graph, walked once and cached
+(below); every caller makes S a query with ``_query``.  The variables
+of S on the top run of levels are branched on by pushing each root's
+path mass down through those levels (``_top_down``).  The kernel takes
+each root's mass as a frontier: the masses that the levels above some
+depth hand to the nodes below it, ``{root: 1.0}`` at depth 0.  It
+pushes a copy of each frontier once, shallowest query first, each push
+extending the last.  Entropy-guided reordering carries and advances
+each root's frontier itself, so the placed prefix is never pushed
+again.  One unforced bottom-up pass serves every query.  A single
+variable x below that run is read off its slope, and one top-down pass
+per depth gives D for every frontier node there and every variable at
+once (``_slopes``): a frontier of one node, such as a root at depth 0,
+is carried as one float of mass per node, a larger one as a dict of
+masses per node, one per frontier node.  Each assignment to k >= 2
+other variables of S is one forced pass that recomputes only the
+levels down to the deepest of them, 2^k passes in all.  Each call
+gives every node from its shallowest query depth down, and the two
+terminals, one position in one list of unforced values; each such
+query lists its levels as rows of positions and copies that list, so a
+pass reads and writes list slots, not dict entries.
+``conditional_entropy_set`` asks one query
+(``conditional_entropy_var`` through it); ``measure_report`` asks
+H(f), every H(f|x) and every subset in one call, and takes p(f=1) from
+the same unforced pass; entropy-guided reordering asks H(f | placed
+prefix, x) for every candidate x of a level in one call over the
+frontiers of all roots.
 
 All passes are loops, not recursions, and measures build no nodes:
 they work under any node_limit and leave len(manager) unchanged.
+
+The walk itself, ``_levelled``, is cached on the manager: every public
+measure of one root set, ``_conditioned``'s default order included,
+shares one walk of their graph until the next level swap, sweep or
+rollback.  The cache is keyed by the tuple of roots, stamped with
+``manager._swaps`` and bounded by 2 * len(manager) + n entries.
 
 Entropies are bits (base-2 logarithms), with 0 * log 0 taken as 0.
 
@@ -179,22 +187,50 @@ def _check_weights(n: int, w: VarProbabilities | None) -> VarProbabilities:
     return w
 
 
-def _levelled(manager: BddManager, roots: Iterable[int]) -> list[int]:
+def _levelled(manager: BddManager, roots: Iterable[int]) -> tuple[int, ...]:
     """Internal nodes reachable from the roots, top level first, ties by
-    handle: one walk, bucketed by variable, each bucket sorted."""
+    handle: one walk, bucketed by variable, each bucket sorted.
+
+    Every root is checked first.  The order is cached on the manager,
+    keyed by the tuple of roots and stamped with ``manager._swaps``: a
+    node's children change only in a level swap, and nodes made since
+    the walk are not reachable from the roots, so the order holds until
+    the next swap.  ``collect_garbage`` and a reorder's rollback drop
+    the cache.  Its total length, roots and orders counted, stays
+    within 2 * len(manager) + n: an insert that would pass that empties
+    the cache first."""
+    roots = tuple(_entries(roots, UsageError, "roots"))
+    for root in roots:
+        manager._check(root)
+    stamp, held, orders = manager._levels
+    if stamp == manager._swaps:
+        order = orders.get(roots)
+        if order is not None:
+            return order
+    else:
+        held, orders = 0, {}
     nodes = manager._node
     buckets: list[list[int]] = [[] for _ in range(manager.n)]
     for u in manager._reachable(roots):
         buckets[nodes[u][0]].append(u)
-    order = []
+    walked = []
     for var in manager._level_var:
         bucket = buckets[var]
         bucket.sort()
-        order += bucket
+        walked += bucket
+    order = tuple(walked)
+    bound = 2 * len(manager) + manager.n
+    size = len(roots) + len(order)
+    if held + size > bound:
+        held, orders = 0, {}
+    if size <= bound:
+        orders[roots] = order
+        held += size
+    manager._levels = (manager._swaps, held, orders)
     return order
 
 
-def _bottom_up(manager: BddManager, order: list[int],
+def _bottom_up(manager: BddManager, order: Sequence[int],
                pairs: Sequence[tuple[float, float]]) -> dict[int, float]:
     """Node probabilities over the level-sorted ``order``, under the weight
     ``pairs`` indexed by variable; ``order`` must hold every internal
@@ -208,7 +244,7 @@ def _bottom_up(manager: BddManager, order: list[int],
     return sat
 
 
-def _top_down(manager: BddManager, reach: dict[int, float], order: list[int],
+def _top_down(manager: BddManager, reach: dict[int, float], order: Sequence[int],
               pairs: Sequence[tuple[float, float]],
               keep: bool = False) -> dict[int, float]:
     """Push the path masses in ``reach`` down through the level-sorted
@@ -317,7 +353,7 @@ def _query(manager: BddManager, given: set[int]) -> tuple[int, tuple[int, ...]]:
     return depth, tuple(sorted(given.difference(level_var[:depth])))
 
 
-def _slopes(manager: BddManager, order: list[int], sat: dict[int, float],
+def _slopes(manager: BddManager, order: Sequence[int], sat: dict[int, float],
             pairs: Sequence[tuple[float, float]],
             frontier: Iterable[int]) -> dict[int, dict[int, float]]:
     """For every ``frontier`` node u, D_u[var] = dp(u)/dp(var=1) for the
@@ -371,7 +407,7 @@ def _slopes(manager: BddManager, order: list[int], sat: dict[int, float],
 
 def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
                  queries: Sequence[tuple[int, tuple[int, ...]]],
-                 w: VarProbabilities, order: list[int] | None = None,
+                 w: VarProbabilities, order: Sequence[int] | None = None,
                  ) -> tuple[list[float], dict[int, float]]:
     """For each query (depth, rest), the sum over the roots of
     ``reaches`` (in order, duplicates counted) of H(f | the variables on

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
-    AND, ONE, OR, XOR, ZERO, BddManager, ManagerMismatchError, UsageError,
-    VarProbabilities, WeightError,
+    AND, ONE, OR, XOR, ZERO, BddManager, ManagerMismatchError, NodeLimitError,
+    UsageError, VarProbabilities, WeightError,
     all_joint_probabilities, conditional_entropy_set, conditional_entropy_var,
     entropy, enumerate_bdd, exact_measures, info_reorder, measure_report,
-    mutual_information, reach_probabilities, weighted_sat_probability,
+    mutual_information, reach_probabilities, sift, weighted_sat_probability,
 )
 
 from bddinfo import measures
@@ -383,7 +383,8 @@ def test_measure_report_walks_the_graph_once(walks):
 
 def test_mutual_information_walks_the_graph_once(walks):
     """I(f;x) takes H(f) and H(f|x) from one walk, with the same values
-    as the two separate calls."""
+    as the two separate calls.  Each I(f;x) is asked of a fresh clone,
+    whose level-order cache is empty, so its one walk is counted."""
     circuit = load_circuit(str(DATA / "s27.blif"))
     m = circuit.manager
     skewed = VarProbabilities([(1 - p, p) for p in (0.3, 0.5, 0.9, 0.25,
@@ -391,11 +392,144 @@ def test_mutual_information_walks_the_graph_once(walks):
     for w in (None, skewed):
         for _, root in [*circuit.outputs, ("one", ONE)]:
             for var in range(m.n):
+                fresh = m.clone()
                 walks.clear()
-                mi = mutual_information(m, root, var, w)
+                mi = mutual_information(fresh, root, var, w)
                 assert len(walks) == 1
                 assert mi == entropy(m, root, w) - \
                     conditional_entropy_var(m, root, var, w)
+
+
+# Every public measure of one root, each as a function (m, root, w).
+_MEASURES = {
+    "entropy": entropy,
+    "sat": weighted_sat_probability,
+    "reach": reach_probabilities,
+    "cond": lambda m, f, w: [conditional_entropy_var(m, f, var, w)
+                             for var in range(m.n)],
+    "set": lambda m, f, w: conditional_entropy_set(m, f, range(0, m.n, 2), w),
+    "mi": lambda m, f, w: mutual_information(m, f, m.n - 1, w),
+    "joint": all_joint_probabilities,
+    "report": lambda m, f, w: measure_report(m, f, w, subsets=[range(m.n)]),
+}
+
+
+def _every_measure(m, root, w=None):
+    return {name: measure(m, root, w) for name, measure in _MEASURES.items()}
+
+
+def _assert_cache_bounded(m):
+    """The level-order cache's running length is its true length, and
+    it is within 2 * len(m) + n."""
+    _, held, orders = m._levels
+    assert held == sum(len(roots) + len(order) for roots, order in orders.items())
+    assert held <= 2 * len(m) + m.n
+    assert all(type(order) is tuple for order in orders.values())
+
+
+@pytest.mark.parametrize("name", ["s27.blif", "hwb12.tt"])
+def test_measures_share_one_walk_until_a_swap(walks, name):
+    """Every public measure of one root shares one graph walk until the
+    order may have changed: a level swap, a move, a sweep, a reorder
+    rolled back by its node limit or a restored snapshot each make the
+    next call walk once more, and every value is the float a fresh
+    clone gives.  A root retired after its walk was cached still raises,
+    as does a root set that is not iterable."""
+    m = load_circuit(str(DATA / name)).manager
+    root = m.registered_roots[-1]
+
+    def walked_once():
+        walks.clear()
+        values = _every_measure(m, root)
+        assert len(walks) == 1
+        assert values == _every_measure(m.clone(), root)
+        _assert_cache_bounded(m)
+
+    walked_once()
+    walks.clear()
+    entropy(m, root)
+    for var in range(m.n):
+        conditional_entropy_var(m, root, var)
+    all_joint_probabilities(m, root)
+    measure_report(m, root)
+    assert not walks
+    if name == "hwb12.tt":      # a search that passes its limit rolls back
+        m.node_limit = 400
+        with pytest.raises(NodeLimitError):
+            sift(m)
+        m.node_limit = None
+        walked_once()
+    m.swap_adjacent_levels(0)
+    walked_once()
+    m.move_var(m.order[-1], 0)
+    walked_once()
+    m.collect_garbage()
+    walked_once()
+    state = m._snapshot()
+    m.swap_adjacent_levels(1)
+    _every_measure(m, root)     # cached under the swap's own stamp
+    m._restore(state)
+    walked_once()
+
+    retired = m.apply(XOR, root, m.literal(m.order[0]))
+    entropy(m, retired)
+    m.collect_garbage()
+    assert retired not in m._node
+    with pytest.raises(ManagerMismatchError):
+        entropy(m, retired)
+    with pytest.raises(UsageError):
+        measures._levelled(m, root)
+
+
+def test_level_order_cache_empties_at_its_bound():
+    """Asking the entropy of every node of one graph caches far more
+    than 2 * len(manager) + n; each insert that would pass that bound
+    empties the cache first, so it then holds the new order alone.  An
+    order that alone passes the bound is not cached."""
+    rng = random.Random(7)
+    m = BddManager(8)
+    f = m.build_from_truth_vector(random_function(rng, 8))
+    emptied = 0
+    for u in measures._levelled(m, (f,)):
+        _, before, _ = m._levels
+        assert entropy(m, u) == entropy(m.clone(), u)
+        _assert_cache_bounded(m)
+        _, held, orders = m._levels
+        if held < before:
+            emptied += 1
+            assert list(orders) == [(u,)]
+    assert emptied
+    empty = BddManager(0)
+    assert entropy(empty, ONE) == 0.0
+    assert empty._levels[2] == {}
+
+
+@given(st.integers(min_value=1, max_value=8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cached_measures_equal_a_fresh_clone(n, data):
+    """Random interleavings of public measures with level swaps and
+    order changes: every value equals, with ==, the same call on a
+    clone taken at that moment, and the cache stays within its bound."""
+    m = BddManager(n, order=data.draw(st.permutations(range(n))))
+    roots = [m.register_root(m.build_from_truth_vector(format(
+        data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)),
+        f"0{1 << n}b"))) for _ in range(data.draw(st.integers(1, 3)))]
+    roots.append(m.register_root(m.apply(XOR, roots[0], roots[-1])))
+    skewed = VarProbabilities([(1 - k / 16, k / 16) for k in data.draw(
+        st.lists(st.integers(0, 16), min_size=n, max_size=n))])
+    steps = ["measure", "order", *(["swap"] if n > 1 else [])]
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(st.sampled_from(steps))
+        if step == "swap":
+            m.swap_adjacent_levels(data.draw(st.integers(0, n - 2)))
+        elif step == "order":
+            m.set_order(data.draw(st.permutations(range(n))))
+        else:
+            measure = _MEASURES[data.draw(st.sampled_from(sorted(_MEASURES)))]
+            root = data.draw(st.sampled_from(roots))
+            w = data.draw(st.sampled_from([None, skewed]))
+            assert measure(m, root, w) == measure(m.clone(), root, w)
+            _assert_cache_bounded(m)
 
 
 def _forced_reference(m, root, given, w):
