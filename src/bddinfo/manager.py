@@ -101,10 +101,9 @@ class BddManager:
         self._cache: dict[tuple, int] = {}         # _ite memo
         self._roots: list[int] = []
         self._swaps = 0                            # level swaps made so far
-        # measures._levelled's level orders: (the _swaps they were walked
-        # at, their total length, {roots: order}).  A swap makes them
-        # stale; a sweep or a rollback drops them.
-        self._levels: tuple[int, int, dict] = (0, 0, {})
+        # _levelled's orders: (their total length, roots counted,
+        # {roots: order}); dropped with the op cache.
+        self._levels: tuple[int, dict] = (0, {})
 
     def __len__(self) -> int:
         """Number of live internal nodes (including unreachable ones)."""
@@ -411,6 +410,45 @@ class BddManager:
         seen -= {ZERO, ONE}
         return seen
 
+    def _levelled(self, roots: Iterable[int]) -> tuple[int, ...]:
+        """Internal nodes reachable from the roots, top level first, ties by
+        handle: one walk, bucketed by variable, each bucket sorted.
+
+        Every root is checked first.  The order is cached, keyed by the
+        tuple of roots.  Only a level swap, a sweep or a restore changes
+        a node's children or level, and each drops the cache with the op
+        cache; nodes made since the walk are not reachable from the
+        roots.  The cache's total length, roots and orders counted,
+        stays within 2 * len(self) + n: an insert that would pass that
+        empties the cache first, and an order that alone passes it is
+        not cached."""
+        roots = tuple(_entries(roots, UsageError, "roots"))
+        for root in roots:
+            self._check(root)
+        held, orders = self._levels
+        order = orders.get(roots)
+        if order is not None:
+            return order
+        nodes = self._node
+        buckets: list[list[int]] = [[] for _ in range(self.n)]
+        for u in self._reachable(roots):
+            buckets[nodes[u][0]].append(u)
+        walked = []
+        for var in self._level_var:
+            bucket = buckets[var]
+            bucket.sort()
+            walked += bucket
+        order = tuple(walked)
+        bound = 2 * len(self) + self.n
+        size = len(roots) + len(order)
+        if held + size > bound:
+            held, orders = 0, {}
+        if size <= bound:
+            orders[roots] = order
+            held += size
+        self._levels = (held, orders)
+        return order
+
     def collect_garbage(self) -> int:
         """Sweep nodes unreachable from the registered roots.
 
@@ -427,7 +465,7 @@ class BddManager:
         either way.
         """
         self._cache.clear()
-        self._levels = (0, 0, {})
+        self._levels = (0, {})
         keep = self._reachable(self._roots)
         nodes = self._node
         dead = len(nodes) - len(keep)
@@ -457,7 +495,7 @@ class BddManager:
         handles a swap creates do not depend on the order its table was
         filled in.  Raises NodeLimitError, before changing anything,
         when the worst case (two new nodes per node at ``level``) would
-        pass ``node_limit``.  Operation caches are invalidated.
+        pass ``node_limit``.  The op cache and the level orders are dropped.
         """
         _index(level, self.n - 1, UsageError, "swap level")
         x = self._level_var[level]
@@ -470,6 +508,10 @@ class BddManager:
             raise NodeLimitError(
                 f"node limit {self.node_limit} could be passed by a level swap")
         self._swaps += 1
+        # Dropped before the first write, so an interrupted swap leaves
+        # neither cache holding entries for the old store.
+        self._cache.clear()
+        self._levels = (0, {})
         refs = self._refs
         base = self._base
         mask = _SLOT
@@ -549,7 +591,6 @@ class BddManager:
             del ytable[key]
             refs[key[1] & mask] -= 1
             refs[key[2] & mask] -= 1
-        self._cache.clear()
 
     def set_order(self, order: Sequence[int]) -> None:
         """Migrate to the given variable order via adjacent swaps."""
@@ -591,7 +632,7 @@ class BddManager:
         since the snapshot stays retired and its handle refused;
         ``_swaps`` keeps counting."""
         self._cache.clear()
-        self._levels = (0, 0, {})
+        self._levels = (0, {})
         state[2].extend([0] * (len(self._refs) - len(state[2])))
         (self._node, self._unique, self._refs, self._level_var,
          self._var_level, self._roots) = state

@@ -20,42 +20,21 @@ each with the mass the node pushes to it,
 
 Every conditional entropy H(f|S) comes from one kernel,
 ``_conditioned``, which answers a list of queries for a list of roots
-from one level order of their shared graph, walked once and cached
-(below); every caller makes S a query with ``_query``.  The variables
-of S on the top run of levels are branched on by pushing each root's
-path mass down through those levels (``_top_down``).  The kernel takes
-each root's mass as a frontier: the masses that the levels above some
-depth hand to the nodes below it, ``{root: 1.0}`` at depth 0.  It
-pushes a copy of each frontier once, shallowest query first, each push
-extending the last.  Entropy-guided reordering carries and advances
-each root's frontier itself, so the placed prefix is never pushed
-again.  One unforced bottom-up pass serves every query.  A single
-variable x below that run is read off its slope, and one top-down pass
-per depth gives D for every frontier node there and every variable at
-once (``_slopes``): a frontier of one node, such as a root at depth 0,
-is carried as one float of mass per node, a larger one as a dict of
-masses per node, one per frontier node.  Each assignment to k >= 2
-other variables of S is one forced pass that recomputes only the
-levels down to the deepest of them, 2^k passes in all.  Each call
-gives every node from its shallowest query depth down, and the two
-terminals, one position in one list of unforced values; each such
-query lists its levels as rows of positions and copies that list, so a
-pass reads and writes list slots, not dict entries.
-``conditional_entropy_set`` asks one query
-(``conditional_entropy_var`` through it); ``measure_report`` asks
-H(f), every H(f|x) and every subset in one call, and takes p(f=1) from
-the same unforced pass; entropy-guided reordering asks H(f | placed
-prefix, x) for every candidate x of a level in one call over the
-frontiers of all roots.
+from one level order of their shared graph; its docstring gives the
+passes.  Every caller makes S a query with ``_query``.
+``conditional_entropy_set`` asks one query (``conditional_entropy_var``
+through it); ``measure_report`` asks H(f), every H(f|x) and every subset
+in one call, and takes p(f=1) from the same unforced pass;
+entropy-guided reordering asks H(f | placed prefix, x) for every
+candidate x of a level in one call over the frontiers of all roots,
+which it carries and advances itself, so the placed prefix is never
+pushed again.
 
 All passes are loops, not recursions, and measures build no nodes:
-they work under any node_limit and leave len(manager) unchanged.
-
-The walk itself, ``_levelled``, is cached on the manager: every public
-measure of one root set, ``_conditioned``'s default order included,
-shares one walk of their graph until the next level swap, sweep or
-rollback.  The cache is keyed by the tuple of roots, stamped with
-``manager._swaps`` and bounded by 2 * len(manager) + n entries.
+they work under any node_limit and leave len(manager) unchanged.  Each
+pass reads its level order from ``BddManager._levelled``, so every
+public measure of one root set shares one walk of their graph until the
+next level swap, sweep or rollback.
 
 Entropies are bits (base-2 logarithms), with 0 * log 0 taken as 0.
 
@@ -187,49 +166,6 @@ def _check_weights(n: int, w: VarProbabilities | None) -> VarProbabilities:
     return w
 
 
-def _levelled(manager: BddManager, roots: Iterable[int]) -> tuple[int, ...]:
-    """Internal nodes reachable from the roots, top level first, ties by
-    handle: one walk, bucketed by variable, each bucket sorted.
-
-    Every root is checked first.  The order is cached on the manager,
-    keyed by the tuple of roots and stamped with ``manager._swaps``: a
-    node's children change only in a level swap, and nodes made since
-    the walk are not reachable from the roots, so the order holds until
-    the next swap.  ``collect_garbage`` and a reorder's rollback drop
-    the cache.  Its total length, roots and orders counted, stays
-    within 2 * len(manager) + n: an insert that would pass that empties
-    the cache first."""
-    roots = tuple(_entries(roots, UsageError, "roots"))
-    for root in roots:
-        manager._check(root)
-    stamp, held, orders = manager._levels
-    if stamp == manager._swaps:
-        order = orders.get(roots)
-        if order is not None:
-            return order
-    else:
-        held, orders = 0, {}
-    nodes = manager._node
-    buckets: list[list[int]] = [[] for _ in range(manager.n)]
-    for u in manager._reachable(roots):
-        buckets[nodes[u][0]].append(u)
-    walked = []
-    for var in manager._level_var:
-        bucket = buckets[var]
-        bucket.sort()
-        walked += bucket
-    order = tuple(walked)
-    bound = 2 * len(manager) + manager.n
-    size = len(roots) + len(order)
-    if held + size > bound:
-        held, orders = 0, {}
-    if size <= bound:
-        orders[roots] = order
-        held += size
-    manager._levels = (manager._swaps, held, orders)
-    return order
-
-
 def _bottom_up(manager: BddManager, order: Sequence[int],
                pairs: Sequence[tuple[float, float]]) -> dict[int, float]:
     """Node probabilities over the level-sorted ``order``, under the weight
@@ -275,7 +211,7 @@ def weighted_sat_probability(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager.n, w)
-    return _bottom_up(manager, _levelled(manager, (root,)), w._pairs)[root]
+    return _bottom_up(manager, manager._levelled((root,)), w._pairs)[root]
 
 
 def reach_probabilities(manager: BddManager, root: int,
@@ -289,7 +225,7 @@ def reach_probabilities(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager.n, w)
-    return _top_down(manager, {root: 1.0}, _levelled(manager, (root,)), w._pairs,
+    return _top_down(manager, {root: 1.0}, manager._levelled((root,)), w._pairs,
                      keep=True)
 
 
@@ -306,7 +242,7 @@ def all_joint_probabilities(manager: BddManager, root: int,
     """
     manager._check(root)
     w = _check_weights(manager.n, w)
-    order = _levelled(manager, (root,))
+    order = manager._levelled((root,))
     sat = _bottom_up(manager, order, w._pairs)
     reach = _top_down(manager, {root: 1.0}, order, w._pairs, keep=True)
     nodes = manager._node
@@ -441,14 +377,15 @@ def _conditioned(manager: BddManager, reaches: Sequence[dict[int, float]],
     query lists its levels, from ``depth`` down to the deepest of the k
     variables, bottom up as rows (position, variable, low position,
     high position), and each assignment to the k variables is one
-    forced pass that recomputes the rows in a copy of that list.  Every
-    row writes its slot before a later row reads it, so one copy serves
-    the query's 2^k passes in turn.  The nodes below the levels never
+    forced pass that recomputes the rows in a copy of that list, so a
+    pass reads and writes list slots, not dict entries.  Every row
+    writes its slot before a later row reads it, so one copy serves the
+    query's 2^k passes in turn.  The nodes below the levels never
     test the k variables, so they keep their unforced values.
     """
     nodes, pairs, level = manager._node, w._pairs, manager._var_level
     if order is None:
-        order = _levelled(manager, itertools.chain.from_iterable(reaches))
+        order = manager._levelled(itertools.chain.from_iterable(reaches))
     reaches = [dict(reach) for reach in reaches]
     levels = [level[nodes[u][0]] for u in order]
     start = [bisect.bisect_left(levels, at) for at in range(manager.n + 1)]

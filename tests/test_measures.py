@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -421,7 +422,7 @@ def _every_measure(m, root, w=None):
 def _assert_cache_bounded(m):
     """The level-order cache's running length is its true length, and
     it is within 2 * len(m) + n."""
-    _, held, orders = m._levels
+    held, orders = m._levels
     assert held == sum(len(roots) + len(order) for roots, order in orders.items())
     assert held <= 2 * len(m) + m.n
     assert all(type(order) is tuple for order in orders.values())
@@ -467,7 +468,7 @@ def test_measures_share_one_walk_until_a_swap(walks, name):
     walked_once()
     state = m._snapshot()
     m.swap_adjacent_levels(1)
-    _every_measure(m, root)     # cached under the swap's own stamp
+    _every_measure(m, root)     # cached after the swap
     m._restore(state)
     walked_once()
 
@@ -478,7 +479,7 @@ def test_measures_share_one_walk_until_a_swap(walks, name):
     with pytest.raises(ManagerMismatchError):
         entropy(m, retired)
     with pytest.raises(UsageError):
-        measures._levelled(m, root)
+        m._levelled(root)
 
 
 def test_level_order_cache_empties_at_its_bound():
@@ -490,26 +491,29 @@ def test_level_order_cache_empties_at_its_bound():
     m = BddManager(8)
     f = m.build_from_truth_vector(random_function(rng, 8))
     emptied = 0
-    for u in measures._levelled(m, (f,)):
-        _, before, _ = m._levels
+    for u in m._levelled((f,)):
+        before, _ = m._levels
         assert entropy(m, u) == entropy(m.clone(), u)
         _assert_cache_bounded(m)
-        _, held, orders = m._levels
+        held, orders = m._levels
         if held < before:
             emptied += 1
             assert list(orders) == [(u,)]
     assert emptied
     empty = BddManager(0)
     assert entropy(empty, ONE) == 0.0
-    assert empty._levels[2] == {}
+    assert empty._levels[1] == {}
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
 @settings(max_examples=60, deadline=None)
 def test_cached_measures_equal_a_fresh_clone(n, data):
-    """Random interleavings of public measures with level swaps and
-    order changes: every value equals, with ==, the same call on a
-    clone taken at that moment, and the cache stays within its bound."""
+    """Random interleavings of public measures with level swaps, order
+    changes, a sweep after an unregistered apply, a reorder rolled back
+    by its node limit, and a snapshot, swap and restore round: after
+    every step a measure equals, with ==, the same call on a clone taken
+    at that moment, and the cache stays within its bound.  A swap, a
+    sweep, a reorder and a restore each leave the cache empty."""
     m = BddManager(n, order=data.draw(st.permutations(range(n))))
     roots = [m.register_root(m.build_from_truth_vector(format(
         data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)),
@@ -517,19 +521,39 @@ def test_cached_measures_equal_a_fresh_clone(n, data):
     roots.append(m.register_root(m.apply(XOR, roots[0], roots[-1])))
     skewed = VarProbabilities([(1 - k / 16, k / 16) for k in data.draw(
         st.lists(st.integers(0, 16), min_size=n, max_size=n))])
-    steps = ["measure", "order", *(["swap"] if n > 1 else [])]
+
+    def measured():
+        measure = _MEASURES[data.draw(st.sampled_from(sorted(_MEASURES)))]
+        root = data.draw(st.sampled_from(roots))
+        w = data.draw(st.sampled_from([None, skewed]))
+        assert measure(m, root, w) == measure(m.clone(), root, w)
+        _assert_cache_bounded(m)
+
+    steps = ["measure", "order", "sweep", "limit",
+             *(["swap", "restore"] if n > 1 else [])]
     for _ in range(data.draw(st.integers(1, 12))):
         step = data.draw(st.sampled_from(steps))
         if step == "swap":
             m.swap_adjacent_levels(data.draw(st.integers(0, n - 2)))
         elif step == "order":
             m.set_order(data.draw(st.permutations(range(n))))
-        else:
-            measure = _MEASURES[data.draw(st.sampled_from(sorted(_MEASURES)))]
-            root = data.draw(st.sampled_from(roots))
-            w = data.draw(st.sampled_from([None, skewed]))
-            assert measure(m, root, w) == measure(m.clone(), root, w)
-            _assert_cache_bounded(m)
+        elif step == "sweep":       # the garbage's order is cached first
+            entropy(m, m.apply(AND, roots[-1], m.literal(data.draw(
+                st.integers(0, n - 1)))))
+            m.collect_garbage()
+        elif step == "limit":
+            m.node_limit = 0
+            with contextlib.suppress(NodeLimitError):
+                data.draw(st.sampled_from([sift, info_reorder]))(m)
+            m.node_limit = None
+        elif step == "restore":
+            state = m._snapshot()
+            m.swap_adjacent_levels(data.draw(st.integers(0, n - 2)))
+            measured()
+            m._restore(state)
+        if step not in ("measure", "order"):
+            assert m._levels == (0, {})
+        measured()
 
 
 def _forced_reference(m, root, given, w):
@@ -656,7 +680,7 @@ def test_flat_slope_route_matches_the_dict_route(seed):
     rng.shuffle(order)
     m = BddManager(n, order=order)
     f, g = (m.build_from_truth_vector(random_function(rng, n)) for _ in range(2))
-    nodes = measures._levelled(m, (f, m.apply(XOR, f, g)))
+    nodes = m._levelled((f, m.apply(XOR, f, g)))
     pairs_seen = 0
     for w in _weightings(rng, n):
         sat = measures._bottom_up(m, nodes, w._pairs)

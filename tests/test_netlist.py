@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bddinfo import (
@@ -222,10 +224,59 @@ def test_pla_missing_headers():
         parse_pla(".i 2\n10 1\n")
 
 
-def test_blif_roundtrip():
-    for text in (EXAMPLE1_BLIF, C17_BLIF, TOGGLE_BLIF):
-        nl = parse_blif(text)
-        assert parse_blif(format_blif(nl)) == nl
+@st.composite
+def _blif_texts(draw):
+    """.model, .inputs, .outputs and .latch lines and .names blocks, in
+    any order, each block's rows fitting its gate with one output phase;
+    lines may carry a comment or be split by a backslash continuation.
+    Signals come from small pools that overlap, so texts both pass and
+    fail validation."""
+    signal = st.sampled_from(["a", "b", "q", "t", "u"])
+    items = [[[".model", *draw(st.lists(st.sampled_from(["m", "top"]), max_size=1))]]]
+    for head, names in ((".inputs", "ab"), (".outputs", "abqtu"), (".inputs", "ab")):
+        if draw(st.booleans()):
+            items.append([[head, *draw(st.lists(st.sampled_from(names),
+                                                 max_size=2, unique=True))]])
+    if draw(st.booleans()):
+        items.append([[".latch", draw(signal), draw(st.sampled_from("qa")),
+                       *draw(st.sampled_from([[], ["0"], ["1"]]))]])
+    for output in draw(st.lists(st.sampled_from("tuf"), max_size=3, unique=True)):
+        inputs = draw(st.lists(signal, max_size=3, unique=True))
+        phase = draw(st.sampled_from("01"))
+        block = [[".names", *inputs, output]]
+        for _ in range(draw(st.integers(0, 3))):
+            pattern = draw(st.text("01-", min_size=len(inputs),
+                                   max_size=len(inputs)))
+            block.append([pattern, phase] if pattern else [phase])
+        items.append(block)
+    lines = []
+    for tokens in itertools.chain.from_iterable(draw(st.permutations(items))):
+        kind = draw(st.sampled_from(["plain", "plain", "comment", "split"]))
+        if kind == "split" and len(tokens) > 1:
+            cut = draw(st.integers(1, len(tokens) - 1))
+            lines += [" ".join(tokens[:cut]) + " \\", " ".join(tokens[cut:])]
+        else:
+            lines.append(" ".join(tokens) + ("  # note" if kind == "comment" else ""))
+    if draw(st.booleans()):
+        lines.append(".end")
+    return "\n".join(lines)
+
+
+@given(_blif_texts())
+@example(EXAMPLE1_BLIF)
+@example(C17_BLIF)
+@example(TOGGLE_BLIF)
+@settings(max_examples=300, deadline=None)
+def test_blif_roundtrip(text):
+    """A BLIF text gives a netlist or a NetlistError, and every netlist
+    is the one its own format_blif text parses to."""
+    from bddinfo import Netlist, NetlistError
+    try:
+        netlist = parse_blif(text)
+    except NetlistError:
+        return
+    assert isinstance(netlist, Netlist)
+    assert parse_blif(format_blif(netlist)) == netlist
 
 
 def test_pla_roundtrip_through_blif():

@@ -107,40 +107,22 @@ def test_var_mask_matches_a_per_index_reference():
                 assert _var_mask(n, var, value) == want, (n, var, value)
 
 
-def test_wide_tabulation_keeps_only_the_cut(rng):
-    """A 20-variable parity chain: the table is right, and a second call
-    (the masks cached by the first) holds a few 128 KiB tables at once,
-    not one per node (39 nodes, about 5 MB)."""
-    n = 20
-    m = BddManager(n)
-    root = m.literal(0)
-    for v in range(1, n):
-        root = m.apply("xor", root, m.literal(v))
-    tt = enumerate_bdd(m, root)
-    assert tt.ones == 1 << (n - 1)
-    for _ in range(64):
-        i = rng.getrandbits(n)
-        assert tt.value(i) == m.evaluate(root, _assignment(n, i))
-    tracemalloc.start()
-    try:
-        assert enumerate_bdd(m, root) == tt
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 1024 * 1024    # 16 tables of 2**20 bits
-
-
-def test_enumerate_memory_follows_the_cut():
-    """The 22-variable parity chain (43 nodes) has two nodes per level,
-    so a call after the first (which fills the mask cache) holds a few
-    tables of 2**22 bits at once, not one per node."""
-    n = 22
+@pytest.mark.parametrize("n", [20, 22])
+def test_enumerate_memory_follows_the_cut(rng, n):
+    """An n-variable parity chain (2n - 1 nodes) has two nodes per
+    level: its table is right, and a call after the first (which fills
+    the mask cache) holds a few tables of 2**n bits at once, not one per
+    node."""
     m = BddManager(n)
     root = m.literal(0)
     for v in range(1, n):
         root = m.apply("xor", root, m.literal(v))
     assert len(m._reachable([root])) == 2 * n - 1
     tt = enumerate_bdd(m, root)
+    assert tt.ones == 1 << (n - 1)
+    for _ in range(64):
+        i = rng.getrandbits(n)
+        assert tt.value(i) == m.evaluate(root, _assignment(n, i))
     tracemalloc.start()
     try:
         assert enumerate_bdd(m, root) == tt
