@@ -383,6 +383,9 @@ class BddManager:
 
     def count_nodes(self, roots: Iterable[int]) -> int:
         """Distinct internal nodes reachable from any root; terminals excluded."""
+        roots = tuple(_entries(roots, UsageError, "roots"))
+        for root in roots:
+            self._check(root)
         return len(self._reachable(roots))
 
     def shared_size(self) -> int:
@@ -390,12 +393,12 @@ class BddManager:
         return self.count_nodes(self._roots)
 
     def _reachable(self, roots: Iterable[int]) -> set[int]:
-        """Internal nodes reachable from the roots; each is pushed once."""
+        """Internal nodes reachable from the roots, which the caller has
+        checked; each is pushed once."""
         nodes = self._node
         seen = {ZERO, ONE}
         stack = []
-        for r in _entries(roots, UsageError, "roots"):
-            self._check(r)
+        for r in roots:
             if r not in seen:
                 seen.add(r)
                 stack.append(r)
@@ -414,17 +417,17 @@ class BddManager:
         """Internal nodes reachable from the roots, top level first, ties by
         handle: one walk, bucketed by variable, each bucket sorted.
 
-        Every root is checked first.  The order is cached, keyed by the
-        tuple of roots.  Only a level swap, a sweep or a restore changes
-        a node's children or level, and each drops the cache with the op
-        cache; nodes made since the walk are not reachable from the
-        roots.  The cache's total length, roots and orders counted,
-        stays within 2 * len(self) + n: an insert that would pass that
-        empties the cache first, and an order that alone passes it is
-        not cached."""
+        The roots must be live handles: every caller has checked its
+        own, so neither the lookup nor the walk checks one again; a root
+        set that is not iterable raises UsageError.  The order is
+        cached, keyed by the tuple of roots.  Only a level swap, a sweep
+        or a restore changes a node's children or level, and each drops
+        the cache with the op cache; nodes made since the walk are not
+        reachable from the roots.  The cache's total length, roots and
+        orders counted, stays within 2 * len(self) + n: an insert that
+        would pass that empties the cache first, and an order that alone
+        passes it is not cached."""
         roots = tuple(_entries(roots, UsageError, "roots"))
-        for root in roots:
-            self._check(root)
         held, orders = self._levels
         order = orders.get(roots)
         if order is not None:

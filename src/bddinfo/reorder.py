@@ -2,15 +2,15 @@
 sifting and window-permutation baselines.
 
 All three are search loops over adjacent level swaps on a live
-manager (``BddManager.move_var``), run by one driver, ``_run``, that
-returns a ReorderTrace.  The driver sweeps garbage once on entry;
-swaps then retire every node they orphan, so every size is
-``len(manager)``: the shared node count of all registered roots.  Each
-call ends with a mandatory check that every registered root still
-computes the function imaged on entry: its truth table up to
-_EXHAUSTIVE_CHECK_VARS variables, its ``_signature`` above that.  Both
-images read node triples only and build no node.  A call that raises
-changes nothing.
+manager (``BddManager.move_var``; sifting also goes back by restoring
+a snapshot), run by one driver, ``_run``, that returns a ReorderTrace.
+The driver sweeps garbage once on entry; swaps then retire every node
+they orphan, so every size is ``len(manager)``: the shared node count
+of all registered roots.  Each call ends with a mandatory check that
+every registered root still computes the function imaged on entry:
+its truth table up to _EXHAUSTIVE_CHECK_VARS variables, its
+``_signature`` above that.  Both images read node triples only and
+build no node.  A call that raises changes nothing.
 """
 
 from __future__ import annotations
@@ -76,9 +76,10 @@ def _run(method: str, manager: BddManager, roots: Iterable[int] | None,
     _EXHAUSTIVE_CHECK_VARS variables, which is exact; above that each
     root's ``_signature``, which two different functions share with
     probability at most n / (2**61 - 1).  Neither image builds a node,
-    so the check spends no ``node_limit`` and copies nothing: the
-    snapshot is the one copy a reorder takes.  Any exception, from a
-    refused root to an interrupt, restores the snapshot before it
+    so the check spends no ``node_limit`` and copies nothing; besides
+    the entry snapshot, only ``sift``'s search copies the manager, and
+    it holds at most one such copy at a time.  Any exception, from a
+    refused root to an interrupt, restores the entry snapshot before it
     propagates: a reorder returns a checked trace or changes nothing.
     """
     t0 = time.perf_counter()
@@ -204,17 +205,31 @@ def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrac
     tables hold only live nodes, since the driver sweeps on entry and
     swaps retire what they orphan.  No skipped position could be
     strictly smaller, and ties never move the parked position, so the
-    result and every step are those of the full sweep."""
+    result and every step are those of the full sweep.
+
+    A variable returns to its start by ``_restore`` of a snapshot taken
+    there, not by swaps: after the first leg, and at the end when the
+    start is nearer to the best position than the variable is.  A
+    level's node count depends only on its variable and the set of
+    variables above it, so every position has the size it had; only
+    the handles minted by a dropped leg differ, and they stay refused.
+    The search holds at most one such copy at a time."""
 
     def search(roots: list[int]) -> Iterator[TraceStep]:
         n = manager.n
         unique = manager._unique
         priority = sorted(range(n), key=lambda var: (-len(unique[var]), var))
         for var in priority:
-            pos = manager.level_of_var(var)
+            start = pos = manager.level_of_var(var)
             best_size = len(manager)
-            best_pos = pos
-            for step in (-1, 1) if pos <= n - 1 - pos else (1, -1):
+            best_pos = start
+            state = manager._snapshot()
+            for step in (-1, 1) if start <= n - 1 - start else (1, -1):
+                if pos != start:
+                    manager._restore(state)
+                    state = manager._snapshot()
+                    pos = start
+                unique = manager._unique        # a restore installs new tables
                 while 0 <= pos + step < n:
                     # Lower bound on every size further this way: levels
                     # out of reach keep their nodes, and each variable in
@@ -230,6 +245,8 @@ def sift(manager: BddManager, roots: Iterable[int] | None = None) -> ReorderTrac
                     if size < best_size:
                         best_size = size
                         best_pos = pos
+            if abs(start - best_pos) < abs(pos - best_pos):
+                manager._restore(state)
             manager.move_var(var, best_pos)
             yield TraceStep(level=best_pos, scores=[(var, float(best_size))],
                             chosen=var, tie=False, size_after=len(manager))

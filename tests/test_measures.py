@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -455,7 +456,7 @@ def test_measures_share_one_walk_until_a_swap(walks, name):
     measure_report(m, root)
     assert not walks
     if name == "hwb12.tt":      # a search that passes its limit rolls back
-        m.node_limit = 400
+        m.node_limit = 390
         with pytest.raises(NodeLimitError):
             sift(m)
         m.node_limit = None
@@ -480,6 +481,39 @@ def test_measures_share_one_walk_until_a_swap(walks, name):
         entropy(m, retired)
     with pytest.raises(UsageError):
         m._levelled(root)
+
+
+@pytest.mark.parametrize("name", sorted(_MEASURES))
+def test_a_measure_checks_each_root_once(walks, monkeypatch, name):
+    """A public measure checks its root once per call, also on a cache
+    miss, where neither the level-order lookup nor the walk checks it
+    again; ``count_nodes`` checks each of its roots once, and still
+    refuses a root set that is not iterable or holds a retired root."""
+    source = load_circuit(str(DATA / "s27.blif")).manager
+    m = source.clone()                  # an empty level-order cache
+    roots = m.registered_roots
+    checked = Counter()
+    check = BddManager._check
+
+    def counting(self, ref):
+        checked[ref] += 1
+        check(self, ref)
+
+    monkeypatch.setattr(BddManager, "_check", counting)
+    walks.clear()
+    _MEASURES[name](m, roots[-1], None)
+    assert len(walks) == 1
+    calls = m.n if name == "cond" else 1    # "cond" asks n measures
+    assert checked == {roots[-1]: calls}
+    checked.clear()
+    assert m.count_nodes(roots) == len(m)
+    assert checked == Counter(roots)
+    retired = m.apply(XOR, roots[0], roots[-1])
+    m.collect_garbage()
+    with pytest.raises(ManagerMismatchError, match="does not belong"):
+        m.count_nodes([roots[0], retired])
+    with pytest.raises(UsageError, match="roots must be iterable"):
+        m.count_nodes(roots[0])
 
 
 def test_level_order_cache_empties_at_its_bound():

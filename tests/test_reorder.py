@@ -464,13 +464,32 @@ def _count_swaps(monkeypatch):
     return calls
 
 
-def test_sift_cutoff_matches_full_sweep(rng):
-    """The lower-bound cutoff changes no order, size or step."""
+def test_sift_cutoff_matches_full_sweep(rng, monkeypatch):
+    """The lower-bound cutoff and the returns to a variable's start by
+    snapshot change no order, size or step, on the truth-table path
+    (4 to 8 variables, 1 or 3 roots), on the signature path (11 and 12
+    variables, 2 or 3 roots) and on hwb12, where legs are long.  A
+    restore installs new tables, and the bound must read those: the
+    node store and unique tables each restore drops are emptied, so a
+    search that read them would cut its legs on a wrong bound."""
+    restore = BddManager._restore
+
+    def emptying(self, state):
+        nodes, unique = self._node, self._unique
+        restore(self, state)
+        nodes.clear()
+        for table in unique:
+            table.clear()
+
+    monkeypatch.setattr(BddManager, "_restore", emptying)
     managers = []
     for n in range(4, 9):
         for count in (1, 3, 1, 3):
             managers.append(_random_roots(rng, n, count))
-    for name in ("c17.blif", "s27.blif"):
+    for n in (11, 12):
+        for count in (2, 3):
+            managers.append(_random_roots(rng, n, count))
+    for name in ("c17.blif", "s27.blif", "hwb12.tt"):
         managers.append(load_circuit(str(DATA / name)).manager)
     for m in managers:
         expected = _sift_reference(m.clone())
@@ -480,6 +499,31 @@ def test_sift_cutoff_matches_full_sweep(rng):
         assert trace.final_size == expected.final_size
         assert [repr(step) for step in trace.steps] == \
             [repr(step) for step in expected.steps]
+        assert_manager_consistent(m)
+
+
+def test_sift_refuses_every_handle_a_dropped_leg_minted(monkeypatch):
+    """A leg that a restore drops leaves no handle behind: on s27 and
+    hwb12, every node live just before one of sift's restores and not
+    after it is refused once sift returns, and the manager is
+    consistent."""
+    for name in ("s27.blif", "hwb12.tt"):
+        m = load_circuit(str(DATA / name)).manager
+        dropped = set()
+        restore = BddManager._restore
+
+        def recording(self, state):
+            before = set(self._node)
+            restore(self, state)
+            dropped.update(before - set(self._node))
+
+        monkeypatch.setattr(BddManager, "_restore", recording)
+        trace = sift(m)
+        monkeypatch.undo()
+        assert dropped and trace.swaps
+        for handle in dropped:
+            with pytest.raises(ManagerMismatchError):
+                m.node(handle)
         assert_manager_consistent(m)
 
 
@@ -732,7 +776,7 @@ def _state(m, slots):
     (sift, 153), (info_reorder, 259), (window_permute, 238)])
 def test_a_search_that_passes_the_node_limit_leaves_the_manager_as_it_was(
         monkeypatch, method, size):
-    """On hwb12 (238 nodes) every search passes a node limit of 400
+    """On hwb12 (238 nodes) every search passes a node limit of 390
     after it has moved the order and grown the manager.  Its
     NodeLimitError restores the entry snapshot: the node store, order,
     roots and counts are those of the entry.  An unlimited run then
@@ -749,7 +793,7 @@ def test_a_search_that_passes_the_node_limit_leaves_the_manager_as_it_was(
         minted.extend(set(self._node) - before)
 
     monkeypatch.setattr(BddManager, "swap_adjacent_levels", recording)
-    m.node_limit = 400
+    m.node_limit = 390
     with pytest.raises(NodeLimitError):
         method(m)
     assert minted
@@ -795,6 +839,54 @@ def test_an_interrupted_reorder_leaves_the_manager_as_it_was(method, n):
         if lines < k:
             break
     assert points > 100
+
+
+_SIFT_SEARCH = next(code for code in sift.__code__.co_consts
+                    if getattr(code, "co_name", None) == "search")
+
+
+@pytest.mark.parametrize("codes", [
+    (BddManager._snapshot.__code__, BddManager._restore.__code__),
+    (_SIFT_SEARCH,)], ids=["copies", "search"])
+def test_an_interrupted_sift_restore_leaves_the_manager_as_it_was(monkeypatch,
+                                                                 codes):
+    """The case above for sift's own returns to a variable's start: an
+    exception raised at any line of ``_snapshot`` or ``_restore``, or at
+    any line of sift's search, leaves the manager as it was on entry,
+    and a rerun gives the uninterrupted trace.  The seeded 5-variable
+    manager makes sift restore more than once."""
+    rng = random.Random(0)
+    base = BddManager(5, order=rng.sample(range(5), 5))
+    first = base.register_root(base.build_from_truth_vector(
+        random_function(rng, 5)))
+    extra = base.build_from_truth_vector(random_function(rng, 5))
+    base.apply(XOR, first, extra)
+    restores = []
+    restore = BddManager._restore
+
+    def counted(self, state):
+        restores.append(state)
+        restore(self, state)
+
+    twin = base.clone()
+    monkeypatch.setattr(BddManager, "_restore", counted)
+    want = dataclasses.replace(sift(twin, [extra]), elapsed=0.0)
+    monkeypatch.undo()
+    assert len(restores) > 1
+    points = 0
+    for k in itertools.count(1):
+        m = base.clone()
+        entry = _state(m, len(m._refs))
+        trace, lines = interrupt_at(k, codes, lambda: sift(m, [extra]))
+        if trace is None:
+            points += 1
+            assert _state(m, len(entry[3])) == entry
+            assert_manager_consistent(m)
+            trace = sift(m, [extra])
+        assert dataclasses.replace(trace, elapsed=0.0) == want
+        if lines < k:
+            break
+    assert points > 4 * len(restores)
 
 
 @pytest.mark.parametrize("method, n", [
@@ -974,9 +1066,12 @@ def test_signature_is_the_multilinear_extension_of_the_table():
 
 @pytest.mark.parametrize("method", [info_reorder, sift, window_permute])
 def test_a_reorder_copies_the_manager_once(rng, monkeypatch, method):
-    """The rollback snapshot is the one copy a reorder takes: on a
-    12-variable manager with 3 roots, where the check takes signatures,
-    a call makes one ``_snapshot``, no ``clone`` and no other manager."""
+    """On a 12-variable manager with 3 roots, where the check takes
+    signatures, ``info_reorder`` and ``window_permute`` copy the manager
+    once, for the rollback snapshot.  ``sift`` also copies it at each
+    variable's start and again after a restore, so at most 1 + 2 * n
+    ``_snapshot`` calls in all.  No call makes a ``clone`` or another
+    manager."""
     m = _random_roots(rng, 12, 3)
     counts = {}
 
@@ -991,7 +1086,12 @@ def test_a_reorder_copies_the_manager_once(rng, monkeypatch, method):
     for name in ("_snapshot", "clone", "__init__"):
         counting(name)
     method(m)
-    assert counts == {"_snapshot": 1}
+    snapshots = counts.pop("_snapshot")
+    assert counts == {}
+    if method is sift:
+        assert 1 < snapshots <= 1 + 2 * m.n
+    else:
+        assert snapshots == 1
 
 
 def _flip_children(m, u):
@@ -1010,30 +1110,43 @@ def _flip_children(m, u):
 def test_a_root_corrupted_by_the_last_swap_is_caught(rng, monkeypatch,
                                                      method, n, passed):
     """Negative control of the final check, on the truth-table path
-    (n = 5) and the signature path (n = 12): the last swap of a run
-    corrupts one registered root, passed in ``roots`` or only registered."""
+    (n = 5) and the signature path (n = 12): the search's last change of
+    state, a swap or one of sift's restores, corrupts one registered
+    root, passed in ``roots`` or only registered."""
     m = BddManager(n)
     victim = m.register_root(m.build_from_truth_vector(random_function(rng, n)))
     other = m.build_from_truth_vector(random_function(rng, n))
     roots = [victim, other] if passed else [other]
     swap = BddManager.swap_adjacent_levels
+    restore = BddManager._restore
     calls = []
     last = None
 
-    def corrupting_swap(self, level):
-        swap(self, level)
-        calls.append(level)
+    def changed(self, kind):
+        calls.append(kind)
         if len(calls) == last:
             _flip_children(self, victim)
 
+    def corrupting_swap(self, level):
+        swap(self, level)
+        changed(self, "swap")
+
+    def corrupting_restore(self, state):
+        restore(self, state)
+        changed(self, "restore")
+
     monkeypatch.setattr(BddManager, "swap_adjacent_levels", corrupting_swap)
-    method(m.clone(), roots=roots)      # a rehearsal counts the swaps
-    last = len(calls)
-    assert last > 0
+    monkeypatch.setattr(BddManager, "_restore", corrupting_restore)
+    twin = m.clone()
+    calls.clear()
+    method(twin, roots=roots)       # a rehearsal counts the changes
+    rehearsed = calls[:]
+    last = len(rehearsed)
+    assert "swap" in rehearsed
     calls.clear()
     with pytest.raises(BddError, match="changed a root's function"):
         method(m, roots=roots)
-    assert len(calls) == last
+    assert calls == rehearsed + ["restore"]     # and the rollback
     assert_manager_consistent(m)
 
 
